@@ -72,15 +72,18 @@ fn nudge_rate(rng: &mut StdRng, cur: f64, max: f64) -> f64 {
     q3((cur + rng.gen_range(-0.04..=0.04)).clamp(0.0, max))
 }
 
-/// Retry-policy preset gene — the three policies the fixed sweeps compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPreset {
-    /// [`RetryPolicy::none`]: one attempt, every fault surfaces.
-    None,
-    /// [`RetryPolicy::standard`]: production-shaped backoff.
-    Standard,
-    /// [`RetryPolicy::aggressive`]: retry hard, wait long.
-    Aggressive,
+embodied_profiler::record! {
+    tags;
+    /// Retry-policy preset gene — the three policies the fixed sweeps compare.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RetryPreset {
+        /// [`RetryPolicy::none`]: one attempt, every fault surfaces.
+        None = "none",
+        /// [`RetryPolicy::standard`]: production-shaped backoff.
+        Standard = "standard",
+        /// [`RetryPolicy::aggressive`]: retry hard, wait long.
+        Aggressive = "aggressive",
+    }
 }
 
 impl RetryPreset {
@@ -103,52 +106,31 @@ impl RetryPreset {
 
 impl fmt::Display for RetryPreset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RetryPreset::None => "none",
-            RetryPreset::Standard => "standard",
-            RetryPreset::Aggressive => "aggressive",
-        })
+        f.write_str(self.tag())
     }
 }
 
-impl ToJson for RetryPreset {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
+embodied_profiler::record! {
+    tags;
+    /// Serving-stack preset gene — how the shared inference service is wired
+    /// (replication, SLO deadline, hedging, shedding). Faults ride separately
+    /// in [`ScenarioGenotype::serving_faults`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ServingPreset {
+        /// Pass-through service: single infallible-scheduling replica, no SLO
+        /// machinery (the legacy per-module path).
+        Passthrough = "passthrough",
+        /// Three replicas behind a 2-slot concurrency limit — failover has a
+        /// healthy peer to target but no SLO tier is active.
+        Replicated = "replicated",
+        /// Two replicas, 2 slots, 30 s deadline and no hedging/shedding — the
+        /// tier where brownouts and cold restarts blow the SLO directly.
+        TightSlo = "tight-slo",
+        /// Three replicas, 2 slots, 30 s deadline, 2 s hedging, shedding past 3
+        /// placements — the full mitigation stack (which an adversary can still
+        /// turn into wasted hedges and shed work).
+        Guarded = "guarded",
     }
-}
-
-impl FromJson for RetryPreset {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("retry preset: expected a string"))?
-        {
-            "none" => Ok(RetryPreset::None),
-            "standard" => Ok(RetryPreset::Standard),
-            "aggressive" => Ok(RetryPreset::Aggressive),
-            other => Err(JsonError::msg(format!("unknown retry preset: {other:?}"))),
-        }
-    }
-}
-
-/// Serving-stack preset gene — how the shared inference service is wired
-/// (replication, SLO deadline, hedging, shedding). Faults ride separately
-/// in [`ScenarioGenotype::serving_faults`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingPreset {
-    /// Pass-through service: single infallible-scheduling replica, no SLO
-    /// machinery (the legacy per-module path).
-    Passthrough,
-    /// Three replicas behind a 2-slot concurrency limit — failover has a
-    /// healthy peer to target but no SLO tier is active.
-    Replicated,
-    /// Two replicas, 2 slots, 30 s deadline and no hedging/shedding — the
-    /// tier where brownouts and cold restarts blow the SLO directly.
-    TightSlo,
-    /// Three replicas, 2 slots, 30 s deadline, 2 s hedging, shedding past 3
-    /// placements — the full mitigation stack (which an adversary can still
-    /// turn into wasted hedges and shed work).
-    Guarded,
 }
 
 impl ServingPreset {
@@ -180,33 +162,7 @@ impl ServingPreset {
 
 impl fmt::Display for ServingPreset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ServingPreset::Passthrough => "passthrough",
-            ServingPreset::Replicated => "replicated",
-            ServingPreset::TightSlo => "tight-slo",
-            ServingPreset::Guarded => "guarded",
-        })
-    }
-}
-
-impl ToJson for ServingPreset {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for ServingPreset {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("serving preset: expected a string"))?
-        {
-            "passthrough" => Ok(ServingPreset::Passthrough),
-            "replicated" => Ok(ServingPreset::Replicated),
-            "tight-slo" => Ok(ServingPreset::TightSlo),
-            "guarded" => Ok(ServingPreset::Guarded),
-            other => Err(JsonError::msg(format!("unknown serving preset: {other:?}"))),
-        }
+        f.write_str(self.tag())
     }
 }
 
@@ -744,9 +700,9 @@ impl ToJson for ScenarioGenotype {
     /// its dedup/cache [`ScenarioGenotype::key`]).
     fn to_json(&self) -> JsonValue {
         let mut fields = vec![
-            ("system".into(), JsonValue::Str(self.system.clone())),
+            ("system".into(), self.system.to_json()),
             ("difficulty".into(), self.difficulty.to_json()),
-            ("num_agents".into(), JsonValue::Num(self.num_agents as f64)),
+            ("num_agents".into(), self.num_agents.to_json()),
             ("llm".into(), self.llm.to_json()),
             ("retry".into(), self.retry.to_json()),
             ("agent".into(), self.agent.to_json()),
@@ -769,17 +725,17 @@ impl ToJson for ScenarioGenotype {
 impl FromJson for ScenarioGenotype {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
         let genotype = ScenarioGenotype {
-            system: value.str_field("system")?.to_string(),
-            difficulty: TaskDifficulty::from_json(value.field("difficulty")?)?,
-            num_agents: value.u64_field("num_agents")? as usize,
-            llm: FaultProfile::from_json(value.field("llm")?)?,
-            retry: RetryPreset::from_json(value.field("retry")?)?,
-            agent: AgentFaultProfile::from_json(value.field("agent")?)?,
-            channel: ChannelProfile::from_json(value.field("channel")?)?,
-            semantic: SemanticFaultProfile::from_json(value.field("semantic")?)?,
-            repair: RepairPolicy::from_json(value.field("repair")?)?,
-            serving: ServingPreset::from_json(value.field("serving")?)?,
-            serving_faults: ServingFaultProfile::from_json(value.field("serving_faults")?)?,
+            system: value.decode("system")?,
+            difficulty: value.decode("difficulty")?,
+            num_agents: value.decode("num_agents")?,
+            llm: value.decode("llm")?,
+            retry: value.decode("retry")?,
+            agent: value.decode("agent")?,
+            channel: value.decode("channel")?,
+            semantic: value.decode("semantic")?,
+            repair: value.decode("repair")?,
+            serving: value.decode("serving")?,
+            serving_faults: value.decode("serving_faults")?,
             // Absent in every pre-five-plane fixture: default draw-free.
             env: match value.get("env") {
                 Some(v) => EnvFaultProfile::from_json(v)?,

@@ -64,7 +64,7 @@ fn the_frontier_is_pinned() {
     for (name, json) in fixtures {
         let ctx = |err| format!("{name}: {err}");
         assert_eq!(
-            json.str_field("format").map_err(&ctx).unwrap(),
+            json.decode::<String>("format").map_err(&ctx).unwrap(),
             "scenario-fixture-v1",
             "{name}: unknown fixture format"
         );
@@ -77,13 +77,13 @@ fn the_frontier_is_pinned() {
             .unwrap();
 
         let eval = json.field("eval").map_err(&ctx).unwrap();
-        let episodes = eval.u64_field("episodes").map_err(&ctx).unwrap() as usize;
-        let seed = eval.u64_field("base_seed").map_err(&ctx).unwrap();
+        let episodes = eval.decode::<usize>("episodes").map_err(&ctx).unwrap();
+        let seed = eval.decode::<u64>("base_seed").map_err(&ctx).unwrap();
         let agg = replay(&genotype, episodes, seed);
 
         let envelope = json.field("envelope").map_err(&ctx).unwrap();
-        let f = |key: &str| envelope.f64_field(key).map_err(&ctx).unwrap();
-        let n = |key: &str| envelope.u64_field(key).map_err(&ctx).unwrap();
+        let f = |key: &str| envelope.decode::<f64>(key).map_err(&ctx).unwrap();
+        let n = |key: &str| envelope.decode::<u64>(key).map_err(&ctx).unwrap();
         assert_eq!(
             agg.success_rate,
             f("success_rate"),
@@ -128,7 +128,7 @@ fn every_paradigm_is_represented() {
         assert!(
             fixtures
                 .iter()
-                .any(|(_, json)| json.str_field("paradigm").unwrap() == paradigm),
+                .any(|(_, json)| json.decode::<String>("paradigm").unwrap() == paradigm),
             "no pinned scenario for the {paradigm} paradigm"
         );
     }

@@ -8,22 +8,24 @@ use embodied_llm::{
     ServingConfig,
 };
 use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
-use serde::{Deserialize, Serialize};
 
-/// Which building blocks are enabled — the knobs of the module-sensitivity
-/// study (Fig. 3). Sensing and planning are never disabled: an agent that
-/// cannot perceive or decide is not a system, it is a brick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModuleToggles {
-    /// Inter-agent communication module.
-    pub communication: bool,
-    /// Memory module (observation / dialogue / action stores).
-    pub memory: bool,
-    /// Reflection module.
-    pub reflection: bool,
-    /// Low-level execution module (disabling forces the LLM to micro-manage
-    /// primitives, per the paper §IV-B).
-    pub execution: bool,
+embodied_profiler::record! {
+    config;
+    /// Which building blocks are enabled — the knobs of the module-sensitivity
+    /// study (Fig. 3). Sensing and planning are never disabled: an agent that
+    /// cannot perceive or decide is not a system, it is a brick.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ModuleToggles {
+        /// Inter-agent communication module.
+        pub communication: bool,
+        /// Memory module (observation / dialogue / action stores).
+        pub memory: bool,
+        /// Reflection module.
+        pub reflection: bool,
+        /// Low-level execution module (disabling forces the LLM to micro-manage
+        /// primitives, per the paper §IV-B).
+        pub execution: bool,
+    }
 }
 
 impl Default for ModuleToggles {
@@ -38,6 +40,12 @@ impl Default for ModuleToggles {
 }
 
 impl ModuleToggles {
+    /// Validated constructor: every combination of toggles is a runnable
+    /// system (sensing and planning are not toggles), so this accepts all.
+    pub fn validated(self) -> Result<Self, String> {
+        Ok(self)
+    }
+
     /// All modules on.
     pub fn all_on() -> Self {
         Self::default()
@@ -76,31 +84,9 @@ impl ModuleToggles {
     }
 }
 
-impl ToJson for ModuleToggles {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("communication".into(), JsonValue::Bool(self.communication)),
-            ("memory".into(), JsonValue::Bool(self.memory)),
-            ("reflection".into(), JsonValue::Bool(self.reflection)),
-            ("execution".into(), JsonValue::Bool(self.execution)),
-        ])
-    }
-}
-
-impl FromJson for ModuleToggles {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(ModuleToggles {
-            communication: value.bool_field("communication")?,
-            memory: value.bool_field("memory")?,
-            reflection: value.bool_field("reflection")?,
-            execution: value.bool_field("execution")?,
-        })
-    }
-}
-
 /// How much past-step information the memory module retains (Fig. 5's
 /// sweep variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryCapacity {
     /// Remember nothing beyond the current observation.
     None,
@@ -150,38 +136,41 @@ impl FromJson for MemoryCapacity {
                 ))),
             };
         }
-        let steps = value.u64_field("steps").map_err(|_| {
+        let steps = value.decode("steps").map_err(|_| {
             JsonError::msg("MemoryCapacity: expected \"none\"/\"full\" or {\"steps\": n}")
         })?;
-        Ok(MemoryCapacity::Steps(steps as usize))
+        Ok(MemoryCapacity::Steps(steps))
     }
 }
 
-/// The paper's optimization recommendations as independent switches, used by
-/// the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Optimizations {
-    /// Rec. 1: aggregate same-step LLM queries into one batched call.
-    pub batching: bool,
-    /// Rec. 1: AWQ weight quantization for local models.
-    pub quantization: Quantization,
-    /// Rec. 1: KV-cache prefix reuse across consecutive calls.
-    pub kv_cache: bool,
-    /// Rec. 4: pose decisions as multiple-choice questions.
-    pub multiple_choice: bool,
-    /// Rec. 5: dual long-term/short-term memory structure.
-    pub dual_memory: bool,
-    /// Rec. 6: summarize dialogue/memory context instead of concatenating.
-    pub summarization: bool,
-    /// Rec. 7: one high-level plan guides up to this many consecutive
-    /// low-level actions (1 = replan every step, the unoptimized default).
-    pub plan_horizon: usize,
-    /// Rec. 8: planning-then-communication — generate a message only when
-    /// the plan actually needs coordination.
-    pub plan_then_communicate: bool,
-    /// Rec. 9: hierarchical clustering — agents cooperate centrally within
-    /// clusters of this size, decentrally across clusters (0 = off).
-    pub cluster_size: usize,
+embodied_profiler::record! {
+    config;
+    /// The paper's optimization recommendations as independent switches, used by
+    /// the ablation benches.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Optimizations {
+        /// Rec. 1: aggregate same-step LLM queries into one batched call.
+        pub batching: bool,
+        /// Rec. 1: AWQ weight quantization for local models.
+        pub quantization: Quantization,
+        /// Rec. 1: KV-cache prefix reuse across consecutive calls.
+        pub kv_cache: bool,
+        /// Rec. 4: pose decisions as multiple-choice questions.
+        pub multiple_choice: bool,
+        /// Rec. 5: dual long-term/short-term memory structure.
+        pub dual_memory: bool,
+        /// Rec. 6: summarize dialogue/memory context instead of concatenating.
+        pub summarization: bool,
+        /// Rec. 7: one high-level plan guides up to this many consecutive
+        /// low-level actions (1 = replan every step, the unoptimized default).
+        pub plan_horizon: usize,
+        /// Rec. 8: planning-then-communication — generate a message only when
+        /// the plan actually needs coordination.
+        pub plan_then_communicate: bool,
+        /// Rec. 9: hierarchical clustering — agents cooperate centrally within
+        /// clusters of this size, decentrally across clusters (0 = off).
+        pub cluster_size: usize,
+    }
 }
 
 impl Default for Optimizations {
@@ -200,56 +189,18 @@ impl Default for Optimizations {
     }
 }
 
-impl ToJson for Optimizations {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("batching".into(), JsonValue::Bool(self.batching)),
-            ("quantization".into(), self.quantization.to_json()),
-            ("kv_cache".into(), JsonValue::Bool(self.kv_cache)),
-            (
-                "multiple_choice".into(),
-                JsonValue::Bool(self.multiple_choice),
-            ),
-            ("dual_memory".into(), JsonValue::Bool(self.dual_memory)),
-            ("summarization".into(), JsonValue::Bool(self.summarization)),
-            (
-                "plan_horizon".into(),
-                JsonValue::Num(self.plan_horizon as f64),
-            ),
-            (
-                "plan_then_communicate".into(),
-                JsonValue::Bool(self.plan_then_communicate),
-            ),
-            (
-                "cluster_size".into(),
-                JsonValue::Num(self.cluster_size as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Optimizations {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let opts = Optimizations {
-            batching: value.bool_field("batching")?,
-            quantization: Quantization::from_json(value.field("quantization")?)?,
-            kv_cache: value.bool_field("kv_cache")?,
-            multiple_choice: value.bool_field("multiple_choice")?,
-            dual_memory: value.bool_field("dual_memory")?,
-            summarization: value.bool_field("summarization")?,
-            plan_horizon: value.u64_field("plan_horizon")? as usize,
-            plan_then_communicate: value.bool_field("plan_then_communicate")?,
-            cluster_size: value.u64_field("cluster_size")? as usize,
-        };
-        if opts.plan_horizon == 0 {
-            return Err(JsonError::msg("Optimizations: plan_horizon must be >= 1"));
+impl Optimizations {
+    /// Validated constructor: a plan must guide at least one action.
+    pub fn validated(self) -> Result<Self, String> {
+        if self.plan_horizon == 0 {
+            return Err("plan_horizon must be >= 1".into());
         }
-        Ok(opts)
+        Ok(self)
     }
 }
 
 /// Full per-agent configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
     /// Planning model.
     pub planner: ModelProfile,

@@ -13,35 +13,36 @@
 //! and a `none()` profile performs **zero** draws, so fault-free runs stay
 //! byte-identical to builds that predate the subsystem.
 
-use embodied_llm::check_rate;
-use embodied_profiler::{AgentFaultStats, ChannelStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::{check_rate, AgentFaultStats, ChannelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Per-step agent-process fault probabilities plus recovery/failover
-/// parameters. The default ([`AgentFaultProfile::none()`]) injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AgentFaultProfile {
-    /// Per-agent per-step probability the agent process crashes.
-    pub crash: f64,
-    /// Steps a crashed agent stays down before rejoining.
-    pub crash_downtime: usize,
-    /// Per-agent per-step probability of a one-step stall (the process
-    /// freezes for the step but does not lose state).
-    pub stall: f64,
-    /// Per-step probability the *coordinator process* crashes
-    /// (centralized/hybrid paradigms only; ignored elsewhere).
-    pub coordinator_crash: f64,
-    /// Whether a surviving agent is promoted to coordinator after a
-    /// coordinator crash. Off = the system runs headless for the rest of
-    /// the episode (the single-point-of-failure cliff).
-    pub failover: bool,
-    /// Headless steps tolerated before the failover election fires.
-    pub failover_after: usize,
-    /// Silent steps after which teammates suspect a peer is down and
-    /// re-plan around it (heartbeat staleness threshold).
-    pub staleness_after: usize,
+embodied_profiler::record! {
+    config;
+    /// Per-step agent-process fault probabilities plus recovery/failover
+    /// parameters. The default ([`AgentFaultProfile::none()`]) injects nothing.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct AgentFaultProfile {
+        /// Per-agent per-step probability the agent process crashes.
+        pub crash: f64,
+        /// Steps a crashed agent stays down before rejoining.
+        pub crash_downtime: usize,
+        /// Per-agent per-step probability of a one-step stall (the process
+        /// freezes for the step but does not lose state).
+        pub stall: f64,
+        /// Per-step probability the *coordinator process* crashes
+        /// (centralized/hybrid paradigms only; ignored elsewhere).
+        pub coordinator_crash: f64,
+        /// Whether a surviving agent is promoted to coordinator after a
+        /// coordinator crash. Off = the system runs headless for the rest of
+        /// the episode (the single-point-of-failure cliff).
+        pub failover: bool,
+        /// Headless steps tolerated before the failover election fires.
+        pub failover_after: usize,
+        /// Silent steps after which teammates suspect a peer is down and
+        /// re-plan around it (heartbeat staleness threshold).
+        pub staleness_after: usize,
+    }
 }
 
 impl Default for AgentFaultProfile {
@@ -103,68 +104,29 @@ impl AgentFaultProfile {
     }
 }
 
-impl ToJson for AgentFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("crash".into(), JsonValue::Num(self.crash)),
-            (
-                "crash_downtime".into(),
-                JsonValue::Num(self.crash_downtime as f64),
-            ),
-            ("stall".into(), JsonValue::Num(self.stall)),
-            (
-                "coordinator_crash".into(),
-                JsonValue::Num(self.coordinator_crash),
-            ),
-            ("failover".into(), JsonValue::Bool(self.failover)),
-            (
-                "failover_after".into(),
-                JsonValue::Num(self.failover_after as f64),
-            ),
-            (
-                "staleness_after".into(),
-                JsonValue::Num(self.staleness_after as f64),
-            ),
-        ])
+embodied_profiler::record! {
+    config;
+    /// Per-delivery message-channel fault probabilities. The default
+    /// ([`ChannelProfile::none()`]) is a perfect network.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ChannelProfile {
+        /// Probability a message is dropped in flight.
+        pub drop: f64,
+        /// Probability a delivered message arrives twice.
+        pub duplicate: f64,
+        /// Probability a delivered message arrives garbled (text unusable,
+        /// entity payload lost).
+        pub corrupt: f64,
+        /// Probability a delivered message is delayed by [`Self::delay_steps`].
+        pub delay: f64,
+        /// Steps a delayed message waits before delivery.
+        pub delay_steps: usize,
+        /// Per-step probability a network partition opens (splitting the team
+        /// into two halves that cannot exchange messages).
+        pub partition: f64,
+        /// Steps a partition lasts before healing.
+        pub partition_steps: usize,
     }
-}
-
-impl FromJson for AgentFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        AgentFaultProfile {
-            crash: value.f64_field("crash")?,
-            crash_downtime: value.u64_field("crash_downtime")? as usize,
-            stall: value.f64_field("stall")?,
-            coordinator_crash: value.f64_field("coordinator_crash")?,
-            failover: value.bool_field("failover")?,
-            failover_after: value.u64_field("failover_after")? as usize,
-            staleness_after: value.u64_field("staleness_after")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("AgentFaultProfile: {e}")))
-    }
-}
-
-/// Per-delivery message-channel fault probabilities. The default
-/// ([`ChannelProfile::none()`]) is a perfect network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChannelProfile {
-    /// Probability a message is dropped in flight.
-    pub drop: f64,
-    /// Probability a delivered message arrives twice.
-    pub duplicate: f64,
-    /// Probability a delivered message arrives garbled (text unusable,
-    /// entity payload lost).
-    pub corrupt: f64,
-    /// Probability a delivered message is delayed by [`Self::delay_steps`].
-    pub delay: f64,
-    /// Steps a delayed message waits before delivery.
-    pub delay_steps: usize,
-    /// Per-step probability a network partition opens (splitting the team
-    /// into two halves that cannot exchange messages).
-    pub partition: f64,
-    /// Steps a partition lasts before healing.
-    pub partition_steps: usize,
 }
 
 impl Default for ChannelProfile {
@@ -223,42 +185,6 @@ impl ChannelProfile {
         check_rate("delay", self.delay)?;
         check_rate("partition", self.partition)?;
         Ok(self)
-    }
-}
-
-impl ToJson for ChannelProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("drop".into(), JsonValue::Num(self.drop)),
-            ("duplicate".into(), JsonValue::Num(self.duplicate)),
-            ("corrupt".into(), JsonValue::Num(self.corrupt)),
-            ("delay".into(), JsonValue::Num(self.delay)),
-            (
-                "delay_steps".into(),
-                JsonValue::Num(self.delay_steps as f64),
-            ),
-            ("partition".into(), JsonValue::Num(self.partition)),
-            (
-                "partition_steps".into(),
-                JsonValue::Num(self.partition_steps as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ChannelProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ChannelProfile {
-            drop: value.f64_field("drop")?,
-            duplicate: value.f64_field("duplicate")?,
-            corrupt: value.f64_field("corrupt")?,
-            delay: value.f64_field("delay")?,
-            delay_steps: value.u64_field("delay_steps")? as usize,
-            partition: value.f64_field("partition")?,
-            partition_steps: value.u64_field("partition_steps")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ChannelProfile: {e}")))
     }
 }
 

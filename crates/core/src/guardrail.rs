@@ -34,7 +34,6 @@ use embodied_llm::{
     SemanticFlaw,
 };
 use embodied_profiler::{FromJson, JsonError, JsonValue, RepairStats, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Simulated wall-clock cost of one schema/affordance validation pass —
@@ -56,7 +55,7 @@ const PHANTOM_ENTITIES: [&str; 4] = [
 ];
 
 /// How the guardrail responds to a rejected plan decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairPolicy {
     /// No validation: corrupted decisions execute unguarded (the baseline
     /// the guardrail sweep compares against). The default — the guardrail
@@ -120,14 +119,9 @@ impl FromJson for RepairPolicy {
                 other => Err(JsonError::msg(format!("unknown repair policy: {other:?}"))),
             };
         }
-        let attempts = value.u64_field("reprompt").map_err(|_| {
-            JsonError::msg(
-                "RepairPolicy: expected \"off\"/\"constrain\"/\"skip\" or {\"reprompt\": n}",
-            )
-        })?;
-        let max_attempts = u32::try_from(attempts).map_err(|_| {
+        let max_attempts: u32 = value.decode("reprompt").map_err(|e| {
             JsonError::msg(format!(
-                "RepairPolicy: reprompt budget too large: {attempts}"
+                "RepairPolicy: expected \"off\"/\"constrain\"/\"skip\" or {{\"reprompt\": n}} ({e})"
             ))
         })?;
         if max_attempts == 0 {

@@ -8,11 +8,10 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the agent knows about one location.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocationKnowledge {
     /// Steps at which the agent observed from this location.
     pub visits: u64,
@@ -23,7 +22,7 @@ pub struct LocationKnowledge {
 }
 
 /// An accumulated map of the (partially observed) world.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorldMap {
     locations: BTreeMap<String, LocationKnowledge>,
 }

@@ -7,11 +7,10 @@
 //! prompt step after step.
 
 use embodied_env::Subgoal;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Builder for one module's prompt at one step.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PromptBuilder {
     sections: Vec<(String, String)>,
 }

@@ -27,11 +27,10 @@
 //! [`RecoveryStats`]: embodied_profiler::RecoveryStats
 
 use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How agents respond to environment faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// No recovery: faults land unanswered (the baseline the embodied
     /// fault sweep compares against). The default — recovery is strictly
@@ -142,24 +141,13 @@ impl FromJson for RecoveryPolicy {
                 ))),
             };
         }
-        let watchdog_window = value.u64_field("watchdog_window").map_err(|_| {
-            JsonError::msg(
-                "RecoveryPolicy: expected \"off\" or \
-                 {\"watchdog_window\": n, \"act_retries\": n}",
-            )
-        })? as usize;
-        let act_retries = value.u64_field("act_retries")?;
-        let act_retries = u32::try_from(act_retries).map_err(|_| {
-            JsonError::msg(format!(
-                "RecoveryPolicy: retry budget too large: {act_retries}"
-            ))
-        })?;
+        let context = |e: &dyn std::fmt::Display| JsonError::msg(format!("RecoveryPolicy: {e}"));
         RecoveryPolicy::Closed {
-            watchdog_window,
-            act_retries,
+            watchdog_window: value.decode("watchdog_window").map_err(|e| context(&e))?,
+            act_retries: value.decode("act_retries").map_err(|e| context(&e))?,
         }
         .validated()
-        .map_err(|e| JsonError::msg(format!("RecoveryPolicy: {e}")))
+        .map_err(|e| context(&e))
     }
 }
 

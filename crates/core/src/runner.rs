@@ -140,7 +140,7 @@ impl RunOverrides {
 }
 
 impl ToJson for RunOverrides {
-    /// Serializes only the overrides that are actually set, so a fixture
+    /// Writes only the overrides that are actually set, so a fixture
     /// documents exactly the knobs a scenario turns and nothing else.
     fn to_json(&self) -> JsonValue {
         let mut fields: Vec<(String, JsonValue)> = Vec::new();
@@ -150,10 +150,7 @@ impl ToJson for RunOverrides {
             }
         };
         put("difficulty", self.difficulty.map(|v| v.to_json()));
-        put(
-            "num_agents",
-            self.num_agents.map(|v| JsonValue::Num(v as f64)),
-        );
+        put("num_agents", self.num_agents.map(|v| v.to_json()));
         put("toggles", self.toggles.map(|v| v.to_json()));
         put("memory_capacity", self.memory_capacity.map(|v| v.to_json()));
         put("planner", self.planner.as_ref().map(|v| v.to_json()));
@@ -186,17 +183,9 @@ impl FromJson for RunOverrides {
                 None => Ok(None),
             }
         }
-        let num_agents = match value.get("num_agents") {
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| JsonError::msg("num_agents: expected a whole number"))?
-                    as usize,
-            ),
-            None => None,
-        };
         Ok(RunOverrides {
             difficulty: opt(value, "difficulty")?,
-            num_agents,
+            num_agents: opt(value, "num_agents")?,
             toggles: opt(value, "toggles")?,
             memory_capacity: opt(value, "memory_capacity")?,
             planner: opt(value, "planner")?,

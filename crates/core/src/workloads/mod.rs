@@ -16,10 +16,9 @@ use embodied_env::{
     KitchenEnv, ManipulationEnv, TaskDifficulty, TransportEnv,
 };
 use embodied_llm::InferenceService;
-use serde::{Deserialize, Serialize};
 
 /// Which task environment a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnvKind {
     /// TDW-MAT-style transport.
     Transport,
@@ -105,7 +104,7 @@ impl embodied_profiler::FromJson for EnvKind {
 }
 
 /// One suite member: everything needed to instantiate and document it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// System name, e.g. `"CoELA"`.
     pub name: &'static str,

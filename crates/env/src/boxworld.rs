@@ -9,55 +9,26 @@ use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Which member of the family to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BoxVariant {
-    /// Random starts, random targets.
-    BoxNet1,
-    /// Denser BoxNet with more boxes.
-    BoxNet2,
-    /// All boxes relay from zone 0 to the last zone.
-    Warehouse,
-    /// Includes heavy boxes needing synchronized two-arm lifts.
-    BoxLift,
+embodied_profiler::record! {
+    tags;
+    /// Which member of the family to instantiate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum BoxVariant {
+        /// Random starts, random targets.
+        BoxNet1 = "BoxNet1",
+        /// Denser BoxNet with more boxes.
+        BoxNet2 = "BoxNet2",
+        /// All boxes relay from zone 0 to the last zone.
+        Warehouse = "Warehouse",
+        /// Includes heavy boxes needing synchronized two-arm lifts.
+        BoxLift = "BoxLift",
+    }
 }
 
 impl std::fmt::Display for BoxVariant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            BoxVariant::BoxNet1 => "BoxNet1",
-            BoxVariant::BoxNet2 => "BoxNet2",
-            BoxVariant::Warehouse => "Warehouse",
-            BoxVariant::BoxLift => "BoxLift",
-        };
-        f.write_str(s)
-    }
-}
-
-impl embodied_profiler::ToJson for BoxVariant {
-    fn to_json(&self) -> embodied_profiler::JsonValue {
-        embodied_profiler::JsonValue::Str(self.to_string())
-    }
-}
-
-impl embodied_profiler::FromJson for BoxVariant {
-    fn from_json(
-        value: &embodied_profiler::JsonValue,
-    ) -> Result<Self, embodied_profiler::JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| embodied_profiler::JsonError::msg("box variant: expected a string"))?
-        {
-            "BoxNet1" => Ok(BoxVariant::BoxNet1),
-            "BoxNet2" => Ok(BoxVariant::BoxNet2),
-            "Warehouse" => Ok(BoxVariant::Warehouse),
-            "BoxLift" => Ok(BoxVariant::BoxLift),
-            other => Err(embodied_profiler::JsonError::msg(format!(
-                "unknown box variant: {other:?}"
-            ))),
-        }
+        f.write_str(self.tag())
     }
 }
 

@@ -31,10 +31,9 @@
 use crate::action::{ExecOutcome, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
-use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::{check_rate, EnvFaultStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt for the dedicated env-fault RNG stream, distinct from every other
 /// seeded stream in the suite.
@@ -54,51 +53,44 @@ const PHANTOMS: [&str; 4] = [
 /// collide with a real entity in any environment.
 const MISREAD_ALIASES: [&str; 4] = ["misty_crate", "dusty_lever", "worn_panel", "dim_door"];
 
-fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
-    if value.is_nan() {
-        return Err(format!("{field} is NaN"));
+embodied_profiler::record! {
+    config;
+    /// Perception/actuation fault probabilities for one wrapped environment.
+    /// The default ([`EnvFaultProfile::none()`]) is a perfect world: sensors
+    /// report ground truth and every actuation lands as the physics dictates.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct EnvFaultProfile {
+        /// Per-agent per-step probability one visible entity drops out of the
+        /// observation (and out of the affordance menu with it).
+        pub dropout: f64,
+        /// Per-agent per-step probability a phantom entity appears in the
+        /// observation *and* the affordance menu — a hallucinated detection the
+        /// guardrail cannot catch, because the sensing surface itself asserts it.
+        pub phantom: f64,
+        /// Per-agent per-step probability the observation freezes: the agent is
+        /// served the same stale frame for [`Self::stale_steps`] steps while the
+        /// world moves on underneath.
+        pub stale: f64,
+        /// Length of a frozen-observation window, in steps.
+        pub stale_steps: usize,
+        /// Per-agent per-step probability one visible entity is misread under a
+        /// wrong name — consistently across observation and affordances, so
+        /// plans against the misread name validate and then fail at actuation.
+        pub misread: f64,
+        /// Per-action probability the actuation silently no-ops: the world is
+        /// untouched and the agent is told the subgoal failed.
+        pub silent_fail: f64,
+        /// Per-action probability of a partial-effect slip: the action lands in
+        /// the world but the outcome reports it as incomplete, so the agent may
+        /// pointlessly redo completed work.
+        pub slip: f64,
+        /// Per-agent per-step probability the actuator goes down for
+        /// [`Self::down_steps`] steps; non-idle subgoals fail instantly while
+        /// the window is open.
+        pub actuator_down: f64,
+        /// Length of an actuator downtime window, in steps.
+        pub down_steps: usize,
     }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(format!("{field} = {value} is outside [0, 1]"));
-    }
-    Ok(value)
-}
-
-/// Perception/actuation fault probabilities for one wrapped environment.
-/// The default ([`EnvFaultProfile::none()`]) is a perfect world: sensors
-/// report ground truth and every actuation lands as the physics dictates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnvFaultProfile {
-    /// Per-agent per-step probability one visible entity drops out of the
-    /// observation (and out of the affordance menu with it).
-    pub dropout: f64,
-    /// Per-agent per-step probability a phantom entity appears in the
-    /// observation *and* the affordance menu — a hallucinated detection the
-    /// guardrail cannot catch, because the sensing surface itself asserts it.
-    pub phantom: f64,
-    /// Per-agent per-step probability the observation freezes: the agent is
-    /// served the same stale frame for [`Self::stale_steps`] steps while the
-    /// world moves on underneath.
-    pub stale: f64,
-    /// Length of a frozen-observation window, in steps.
-    pub stale_steps: usize,
-    /// Per-agent per-step probability one visible entity is misread under a
-    /// wrong name — consistently across observation and affordances, so
-    /// plans against the misread name validate and then fail at actuation.
-    pub misread: f64,
-    /// Per-action probability the actuation silently no-ops: the world is
-    /// untouched and the agent is told the subgoal failed.
-    pub silent_fail: f64,
-    /// Per-action probability of a partial-effect slip: the action lands in
-    /// the world but the outcome reports it as incomplete, so the agent may
-    /// pointlessly redo completed work.
-    pub slip: f64,
-    /// Per-agent per-step probability the actuator goes down for
-    /// [`Self::down_steps`] steps; non-idle subgoals fail instantly while
-    /// the window is open.
-    pub actuator_down: f64,
-    /// Length of an actuator downtime window, in steps.
-    pub down_steps: usize,
 }
 
 impl Default for EnvFaultProfile {
@@ -196,43 +188,6 @@ impl EnvFaultProfile {
             return Err("down_steps must be >= 1 when actuator_down > 0".into());
         }
         Ok(self)
-    }
-}
-
-impl ToJson for EnvFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("dropout".into(), JsonValue::Num(self.dropout)),
-            ("phantom".into(), JsonValue::Num(self.phantom)),
-            ("stale".into(), JsonValue::Num(self.stale)),
-            (
-                "stale_steps".into(),
-                JsonValue::Num(self.stale_steps as f64),
-            ),
-            ("misread".into(), JsonValue::Num(self.misread)),
-            ("silent_fail".into(), JsonValue::Num(self.silent_fail)),
-            ("slip".into(), JsonValue::Num(self.slip)),
-            ("actuator_down".into(), JsonValue::Num(self.actuator_down)),
-            ("down_steps".into(), JsonValue::Num(self.down_steps as f64)),
-        ])
-    }
-}
-
-impl FromJson for EnvFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        EnvFaultProfile {
-            dropout: value.f64_field("dropout")?,
-            phantom: value.f64_field("phantom")?,
-            stale: value.f64_field("stale")?,
-            stale_steps: value.u64_field("stale_steps")? as usize,
-            misread: value.f64_field("misread")?,
-            silent_fail: value.f64_field("silent_fail")?,
-            slip: value.f64_field("slip")?,
-            actuator_down: value.f64_field("actuator_down")?,
-            down_steps: value.u64_field("down_steps")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("EnvFaultProfile: {e}")))
     }
 }
 
@@ -541,6 +496,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
 mod tests {
     use super::*;
     use crate::transport::TransportEnv;
+    use embodied_profiler::{FromJson, ToJson};
     use rand::RngCore;
 
     fn bare(seed: u64) -> TransportEnv {

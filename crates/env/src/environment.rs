@@ -5,22 +5,24 @@ use crate::action::{ExecOutcome, Subgoal};
 use crate::affordance::AffordanceSet;
 use crate::observation::Observation;
 use embodied_exec::Actuator;
-use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::EnvFaultStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Task difficulty level (the paper's Fig. 7 sweeps easy/medium/hard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum TaskDifficulty {
-    /// Few objects, short horizon.
-    Easy,
-    /// The paper's default setting.
-    #[default]
-    Medium,
-    /// Many objects / deep dependency chains.
-    Hard,
+embodied_profiler::record! {
+    tags;
+    /// Task difficulty level (the paper's Fig. 7 sweeps easy/medium/hard).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum TaskDifficulty {
+        /// Few objects, short horizon.
+        Easy = "easy",
+        /// The paper's default setting.
+        #[default]
+        Medium = "medium",
+        /// Many objects / deep dependency chains.
+        Hard = "hard",
+    }
 }
 
 impl TaskDifficulty {
@@ -52,74 +54,23 @@ impl TaskDifficulty {
 
 impl fmt::Display for TaskDifficulty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TaskDifficulty::Easy => "easy",
-            TaskDifficulty::Medium => "medium",
-            TaskDifficulty::Hard => "hard",
-        };
-        f.write_str(s)
+        f.write_str(self.tag())
     }
 }
 
-impl ToJson for TaskDifficulty {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for TaskDifficulty {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("difficulty: expected a string"))?
-        {
-            "easy" => Ok(TaskDifficulty::Easy),
-            "medium" => Ok(TaskDifficulty::Medium),
-            "hard" => Ok(TaskDifficulty::Hard),
-            other => Err(JsonError::msg(format!("unknown difficulty: {other:?}"))),
-        }
-    }
-}
-
-/// Which sampling-based trajectory planner drives arm motion (a design
-/// choice the suite can ablate: RoCo-style quality vs. Connect-style speed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TrajectoryPlanner {
-    /// Plain single-tree RRT.
-    Rrt,
-    /// RRT* with rewiring (shorter paths, more compute) — the default.
-    #[default]
-    RrtStar,
-    /// Bidirectional RRT-Connect (fewest iterations, longer paths).
-    RrtConnect,
-}
-
-impl ToJson for TrajectoryPlanner {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                TrajectoryPlanner::Rrt => "rrt",
-                TrajectoryPlanner::RrtStar => "rrt-star",
-                TrajectoryPlanner::RrtConnect => "rrt-connect",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for TrajectoryPlanner {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("trajectory planner: expected a string"))?
-        {
-            "rrt" => Ok(TrajectoryPlanner::Rrt),
-            "rrt-star" => Ok(TrajectoryPlanner::RrtStar),
-            "rrt-connect" => Ok(TrajectoryPlanner::RrtConnect),
-            other => Err(JsonError::msg(format!(
-                "unknown trajectory planner: {other:?}"
-            ))),
-        }
+embodied_profiler::record! {
+    tags;
+    /// Which sampling-based trajectory planner drives arm motion (a design
+    /// choice the suite can ablate: RoCo-style quality vs. Connect-style speed).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum TrajectoryPlanner {
+        /// Plain single-tree RRT.
+        Rrt = "rrt",
+        /// RRT* with rewiring (shorter paths, more compute) — the default.
+        #[default]
+        RrtStar = "rrt-star",
+        /// Bidirectional RRT-Connect (fewest iterations, longer paths).
+        RrtConnect = "rrt-connect",
     }
 }
 

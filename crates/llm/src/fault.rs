@@ -7,38 +7,13 @@
 //! engine performs zero fault draws and replays byte-identically to an
 //! engine built without fault injection at all.
 
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
+use embodied_profiler::{check_factor, check_rate, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Checks one probability field: finite and in `[0, 1]`. Shared by every
-/// fault-profile `validated()` constructor in this crate.
-pub fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
-    if value.is_nan() {
-        return Err(format!("{field} is NaN"));
-    }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(format!("{field} = {value} is outside [0, 1]"));
-    }
-    Ok(value)
-}
-
-/// Checks one multiplicative factor field: finite and `>= 1` (a slowdown
-/// multiplier below 1 would turn a fault into a speedup).
-pub fn check_factor(field: &'static str, value: f64) -> Result<f64, String> {
-    if !value.is_finite() {
-        return Err(format!("{field} = {value} is not finite"));
-    }
-    if value < 1.0 {
-        return Err(format!("{field} = {value} is below 1"));
-    }
-    Ok(value)
-}
-
 /// One injected failure mode of a simulated LLM call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The call hung past the client deadline and was abandoned.
     Timeout,
@@ -65,27 +40,30 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Per-call fault probabilities for one engine.
-///
-/// All probabilities are independent per call and drawn from the injector's
-/// own seeded stream. The default profile is [`FaultProfile::none()`]:
-/// faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultProfile {
-    /// Probability a call times out.
-    pub timeout: f64,
-    /// Probability a call is rate-limited.
-    pub rate_limit: f64,
-    /// Probability a call fails with a server error.
-    pub server_error: f64,
-    /// Probability the completion stream cuts off unusably.
-    pub truncated_output: f64,
-    /// Probability a *successful* call suffers a tail-latency spike.
-    pub latency_spike: f64,
-    /// Latency multiplier applied on a spike.
-    pub spike_factor: f64,
-    /// Retry-after hint carried by rate-limit errors.
-    pub retry_after: SimDuration,
+embodied_profiler::record! {
+    config;
+    /// Per-call fault probabilities for one engine.
+    ///
+    /// All probabilities are independent per call and drawn from the injector's
+    /// own seeded stream. The default profile is [`FaultProfile::none()`]:
+    /// faults are strictly opt-in.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct FaultProfile {
+        /// Probability a call times out.
+        pub timeout: f64,
+        /// Probability a call is rate-limited.
+        pub rate_limit: f64,
+        /// Probability a call fails with a server error.
+        pub server_error: f64,
+        /// Probability the completion stream cuts off unusably.
+        pub truncated_output: f64,
+        /// Probability a *successful* call suffers a tail-latency spike.
+        pub latency_spike: f64,
+        /// Latency multiplier applied on a spike.
+        pub spike_factor: f64,
+        /// Retry-after hint carried by rate-limit errors.
+        pub retry_after: SimDuration,
+    }
 }
 
 impl Default for FaultProfile {
@@ -155,39 +133,6 @@ impl FaultProfile {
     }
 }
 
-impl ToJson for FaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("timeout".into(), JsonValue::Num(self.timeout)),
-            ("rate_limit".into(), JsonValue::Num(self.rate_limit)),
-            ("server_error".into(), JsonValue::Num(self.server_error)),
-            (
-                "truncated_output".into(),
-                JsonValue::Num(self.truncated_output),
-            ),
-            ("latency_spike".into(), JsonValue::Num(self.latency_spike)),
-            ("spike_factor".into(), JsonValue::Num(self.spike_factor)),
-            ("retry_after".into(), self.retry_after.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        FaultProfile {
-            timeout: value.f64_field("timeout")?,
-            rate_limit: value.f64_field("rate_limit")?,
-            server_error: value.f64_field("server_error")?,
-            truncated_output: value.f64_field("truncated_output")?,
-            latency_spike: value.f64_field("latency_spike")?,
-            spike_factor: value.f64_field("spike_factor")?,
-            retry_after: SimDuration::from_json(value.field("retry_after")?)?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("FaultProfile: {e}")))
-    }
-}
-
 /// Draws faults for one engine from a dedicated seeded stream.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -247,6 +192,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embodied_profiler::{FromJson, JsonValue, ToJson};
 
     #[test]
     fn none_profile_never_fires_and_never_draws() {

@@ -3,19 +3,21 @@
 //! reuse).
 
 use crate::profile::{Deployment, ModelProfile};
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::SimDuration;
 
-/// Post-training quantization applied to a *local* deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Quantization {
-    /// Full-precision weights.
-    #[default]
-    None,
-    /// AWQ 4-bit weight quantization (paper Rec. 1): ~1.8× decode speedup,
-    /// ~1.4× prefill speedup, with a small capability tax applied by the
-    /// quality model.
-    Awq4Bit,
+embodied_profiler::record! {
+    tags;
+    /// Post-training quantization applied to a *local* deployment.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum Quantization {
+        /// Full-precision weights.
+        #[default]
+        None = "none",
+        /// AWQ 4-bit weight quantization (paper Rec. 1): ~1.8× decode speedup,
+        /// ~1.4× prefill speedup, with a small capability tax applied by the
+        /// quality model.
+        Awq4Bit = "awq-4bit",
+    }
 }
 
 impl Quantization {
@@ -44,33 +46,8 @@ impl Quantization {
     }
 }
 
-impl ToJson for Quantization {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                Quantization::None => "none",
-                Quantization::Awq4Bit => "awq-4bit",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for Quantization {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("quantization: expected a string"))?
-        {
-            "none" => Ok(Quantization::None),
-            "awq-4bit" => Ok(Quantization::Awq4Bit),
-            other => Err(JsonError::msg(format!("unknown quantization: {other:?}"))),
-        }
-    }
-}
-
 /// Per-call latency/quality options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceOpts {
     /// Quantization in effect (local deployments only).
     pub quantization: Quantization,

@@ -9,12 +9,10 @@
 //! numbers circa the paper's timeframe so simulated step latency lands in
 //! the paper's 10–30 s band.
 
-use crate::fault::check_rate;
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::{check_rate, FromJson, JsonError, JsonValue, SimDuration, ToJson};
 
 /// Where and how a model runs, with its latency constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Deployment {
     /// A hosted API endpoint (the paper's GPT-4 usage).
     Api {
@@ -43,104 +41,125 @@ impl Deployment {
     pub fn is_api(&self) -> bool {
         matches!(self, Deployment::Api { .. })
     }
+
+    /// Validated constructor: API prices must be finite and non-negative,
+    /// local throughputs finite and positive (the latency constants are
+    /// unsigned durations and cannot go out of range).
+    /// [`ModelProfile::validated`] delegates here.
+    pub fn validated(self) -> Result<Self, String> {
+        match self {
+            Deployment::Api {
+                prompt_cost_per_1k,
+                completion_cost_per_1k,
+                ..
+            } => {
+                for (field, v) in [
+                    ("prompt_cost_per_1k", prompt_cost_per_1k),
+                    ("completion_cost_per_1k", completion_cost_per_1k),
+                ] {
+                    if !(v.is_finite() && v >= 0.0) {
+                        return Err(format!("{field} must be finite and non-negative, got {v}"));
+                    }
+                }
+            }
+            Deployment::Local {
+                prefill_tok_per_s,
+                decode_tok_per_s,
+            } => {
+                for (field, v) in [
+                    ("prefill_tok_per_s", prefill_tok_per_s),
+                    ("decode_tok_per_s", decode_tok_per_s),
+                ] {
+                    if !(v.is_finite() && v > 0.0) {
+                        return Err(format!("{field} must be finite and positive, got {v}"));
+                    }
+                }
+            }
+        }
+        Ok(self)
+    }
 }
 
 impl ToJson for Deployment {
     fn to_json(&self) -> JsonValue {
-        match self {
+        let (tag, fields) = match self {
             Deployment::Api {
                 round_trip,
                 per_prompt_token,
                 per_output_token,
                 prompt_cost_per_1k,
                 completion_cost_per_1k,
-            } => JsonValue::Object(vec![(
-                "api".into(),
-                JsonValue::Object(vec![
-                    ("round_trip".into(), round_trip.to_json()),
-                    ("per_prompt_token".into(), per_prompt_token.to_json()),
-                    ("per_output_token".into(), per_output_token.to_json()),
-                    (
-                        "prompt_cost_per_1k".into(),
-                        JsonValue::Num(*prompt_cost_per_1k),
-                    ),
-                    (
-                        "completion_cost_per_1k".into(),
-                        JsonValue::Num(*completion_cost_per_1k),
-                    ),
-                ]),
-            )]),
+            } => (
+                "api",
+                vec![
+                    ("round_trip", round_trip.to_json()),
+                    ("per_prompt_token", per_prompt_token.to_json()),
+                    ("per_output_token", per_output_token.to_json()),
+                    ("prompt_cost_per_1k", prompt_cost_per_1k.to_json()),
+                    ("completion_cost_per_1k", completion_cost_per_1k.to_json()),
+                ],
+            ),
             Deployment::Local {
                 prefill_tok_per_s,
                 decode_tok_per_s,
-            } => JsonValue::Object(vec![(
-                "local".into(),
-                JsonValue::Object(vec![
-                    (
-                        "prefill_tok_per_s".into(),
-                        JsonValue::Num(*prefill_tok_per_s),
-                    ),
-                    ("decode_tok_per_s".into(), JsonValue::Num(*decode_tok_per_s)),
-                ]),
-            )]),
-        }
+            } => (
+                "local",
+                vec![
+                    ("prefill_tok_per_s", prefill_tok_per_s.to_json()),
+                    ("decode_tok_per_s", decode_tok_per_s.to_json()),
+                ],
+            ),
+        };
+        let fields = fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        JsonValue::Object(vec![(tag.into(), JsonValue::Object(fields))])
     }
 }
 
 impl FromJson for Deployment {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let positive = |field: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(v)
-            } else {
-                Err(JsonError::msg(format!(
-                    "Deployment: {field} must be finite and positive, got {v}"
-                )))
+        let deployment = if let Ok(api) = value.field("api") {
+            Deployment::Api {
+                round_trip: api.decode("round_trip")?,
+                per_prompt_token: api.decode("per_prompt_token")?,
+                per_output_token: api.decode("per_output_token")?,
+                prompt_cost_per_1k: api.decode("prompt_cost_per_1k")?,
+                completion_cost_per_1k: api.decode("completion_cost_per_1k")?,
             }
-        };
-        if let Ok(api) = value.field("api") {
-            Ok(Deployment::Api {
-                round_trip: SimDuration::from_json(api.field("round_trip")?)?,
-                per_prompt_token: SimDuration::from_json(api.field("per_prompt_token")?)?,
-                per_output_token: SimDuration::from_json(api.field("per_output_token")?)?,
-                prompt_cost_per_1k: api.f64_field("prompt_cost_per_1k")?,
-                completion_cost_per_1k: api.f64_field("completion_cost_per_1k")?,
-            })
         } else if let Ok(local) = value.field("local") {
-            Ok(Deployment::Local {
-                prefill_tok_per_s: positive(
-                    "prefill_tok_per_s",
-                    local.f64_field("prefill_tok_per_s")?,
-                )?,
-                decode_tok_per_s: positive(
-                    "decode_tok_per_s",
-                    local.f64_field("decode_tok_per_s")?,
-                )?,
-            })
+            Deployment::Local {
+                prefill_tok_per_s: local.decode("prefill_tok_per_s")?,
+                decode_tok_per_s: local.decode("decode_tok_per_s")?,
+            }
         } else {
-            Err(JsonError::msg(
+            return Err(JsonError::msg(
                 "Deployment: expected an object with an \"api\" or \"local\" key",
-            ))
-        }
+            ));
+        };
+        deployment
+            .validated()
+            .map_err(|e| JsonError::msg(format!("Deployment: {e}")))
     }
 }
 
-/// A complete simulated-LLM profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelProfile {
-    /// Human-readable name, e.g. `"GPT-4 (API)"`.
-    pub name: String,
-    /// Parameter count in billions (0 for undisclosed API models).
-    pub params_b: f64,
-    /// Latency/cost constants.
-    pub deployment: Deployment,
-    /// Maximum prompt + completion tokens per call.
-    pub context_window: u64,
-    /// Base reasoning capability in `[0, 1]`; the probability of a correct
-    /// high-level decision under ideal conditions (short prompt, easy task).
-    pub base_capability: f64,
-    /// Multiplier on requested output length (chattier models emit more).
-    pub verbosity: f64,
+embodied_profiler::record! {
+    config;
+    /// A complete simulated-LLM profile.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ModelProfile {
+        /// Human-readable name, e.g. `"GPT-4 (API)"`.
+        pub name: String,
+        /// Parameter count in billions (0 for undisclosed API models).
+        pub params_b: f64,
+        /// Latency/cost constants.
+        pub deployment: Deployment,
+        /// Maximum prompt + completion tokens per call.
+        pub context_window: u64,
+        /// Base reasoning capability in `[0, 1]`; the probability of a correct
+        /// high-level decision under ideal conditions (short prompt, easy task).
+        pub base_capability: f64,
+        /// Multiplier on requested output length (chattier models emit more).
+        pub verbosity: f64,
+    }
 }
 
 impl ModelProfile {
@@ -257,10 +276,12 @@ impl ModelProfile {
         }
     }
 
-    /// Validated constructor: capability must be a probability, verbosity
-    /// and parameter count finite and non-negative, context window nonzero.
-    /// All deserialization paths go through this.
+    /// Validated constructor: the deployment must pass
+    /// [`Deployment::validated`], capability must be a probability,
+    /// verbosity and parameter count finite and non-negative, context
+    /// window nonzero. All deserialization paths go through this.
     pub fn validated(self) -> Result<Self, String> {
+        self.deployment.validated()?;
         check_rate("base_capability", self.base_capability)?;
         if !self.verbosity.is_finite() || self.verbosity <= 0.0 {
             return Err(format!(
@@ -296,47 +317,13 @@ impl ModelProfile {
     }
 }
 
-impl ToJson for ModelProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("name".into(), JsonValue::Str(self.name.clone())),
-            ("params_b".into(), JsonValue::Num(self.params_b)),
-            ("deployment".into(), self.deployment.to_json()),
-            (
-                "context_window".into(),
-                JsonValue::Num(self.context_window as f64),
-            ),
-            (
-                "base_capability".into(),
-                JsonValue::Num(self.base_capability),
-            ),
-            ("verbosity".into(), JsonValue::Num(self.verbosity)),
-        ])
-    }
-}
-
-impl FromJson for ModelProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ModelProfile {
-            name: value.str_field("name")?.to_string(),
-            params_b: value.f64_field("params_b")?,
-            deployment: Deployment::from_json(value.field("deployment")?)?,
-            context_window: value.u64_field("context_window")?,
-            base_capability: value.f64_field("base_capability")?,
-            verbosity: value.f64_field("verbosity")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ModelProfile: {e}")))
-    }
-}
-
 /// A perception front-end (ViT, MineCLIP, DINO, …): fixed forward-pass
 /// latency plus a per-entity recognition cost.
 ///
 /// In the paper these produce symbolic percepts the planner consumes; their
 /// latency is a small, roughly constant slice of each step (Fig. 2a's
 /// "sensing" bars).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderProfile {
     /// Encoder name, e.g. `"MineCLIP"`.
     pub name: String,
@@ -496,6 +483,58 @@ mod tests {
             let back = ModelProfile::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
             assert_eq!(back, profile);
         }
+    }
+
+    #[test]
+    fn deployment_prices_and_throughputs_are_validated() {
+        let mut negative_price = ModelProfile::gpt4_api();
+        if let Deployment::Api {
+            prompt_cost_per_1k, ..
+        } = &mut negative_price.deployment
+        {
+            *prompt_cost_per_1k = -0.03;
+        }
+        let err = negative_price.clone().validated().unwrap_err();
+        assert!(err.contains("prompt_cost_per_1k"), "{err}");
+        // The JSON path (e.g. `RunOverrides.planner`) rejects it too.
+        let json = JsonValue::parse(&negative_price.to_json().render_pretty()).unwrap();
+        let err = ModelProfile::from_json(&json).unwrap_err().to_string();
+        assert!(
+            err.contains("ModelProfile") && err.contains("prompt_cost_per_1k"),
+            "{err}"
+        );
+
+        let mut infinite_price = ModelProfile::gpt4_api();
+        if let Deployment::Api {
+            completion_cost_per_1k,
+            ..
+        } = &mut infinite_price.deployment
+        {
+            *completion_cost_per_1k = f64::INFINITY;
+        }
+        assert!(infinite_price.validated().is_err());
+
+        let mut stalled = ModelProfile::llama3_8b();
+        stalled.deployment = Deployment::Local {
+            prefill_tok_per_s: 1_000.0,
+            decode_tok_per_s: 0.0,
+        };
+        assert!(stalled
+            .validated()
+            .unwrap_err()
+            .contains("decode_tok_per_s"));
+
+        let mut free = ModelProfile::gpt4_api();
+        if let Deployment::Api {
+            prompt_cost_per_1k,
+            completion_cost_per_1k,
+            ..
+        } = &mut free.deployment
+        {
+            *prompt_cost_per_1k = 0.0;
+            *completion_cost_per_1k = 0.0;
+        }
+        assert!(free.validated().is_ok(), "a free API is valid");
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! latency end-to-end.
 
 use crate::engine::{LlmEngine, LlmError};
-use crate::fault::check_rate;
 use crate::request::{LlmRequest, LlmResponse};
-use embodied_profiler::{FromJson, JsonError, JsonValue, ResilienceStats, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::{check_rate, ResilienceStats, SimDuration};
 
 /// Anything a module can run inferences against.
 ///
@@ -32,34 +30,37 @@ impl InferenceEndpoint for LlmEngine {
     }
 }
 
-/// How a [`ResilientEngine`] reacts to transient faults.
-///
-/// Backoff before retry `k` (1-based) is
-/// `min(base · multiplier^(k-1) · (1 + jitter · u), max_backoff)` where `u ∈
-/// [0, 1)` is a deterministic hash of `(seed, k)` — no RNG object, so the
-/// schedule is a pure function of the policy and seed. The schedule is
-/// monotone non-decreasing whenever `multiplier ≥ 1 + jitter` (which all
-/// built-in policies satisfy), because the un-jittered ladder then grows at
-/// least as fast as the worst-case jitter and the cap is applied last.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total attempts per logical call (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimDuration,
-    /// Geometric growth factor between consecutive backoffs.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`; each wait is stretched by up to this.
-    pub jitter: f64,
-    /// Ceiling on any single backoff wait.
-    pub max_backoff: SimDuration,
-    /// Wall-clock budget for the *sum* of backoff waits of one logical call;
-    /// a retry whose wait would push past it is abandoned instead.
-    pub budget: SimDuration,
-    /// Consecutive gave-up calls that trip the circuit breaker (0 = never).
-    pub breaker_threshold: u32,
-    /// Calls fast-failed while the breaker is open, before it half-closes.
-    pub breaker_cooldown: u32,
+embodied_profiler::record! {
+    config;
+    /// How a [`ResilientEngine`] reacts to transient faults.
+    ///
+    /// Backoff before retry `k` (1-based) is
+    /// `min(base · multiplier^(k-1) · (1 + jitter · u), max_backoff)` where `u ∈
+    /// [0, 1)` is a deterministic hash of `(seed, k)` — no RNG object, so the
+    /// schedule is a pure function of the policy and seed. The schedule is
+    /// monotone non-decreasing whenever `multiplier ≥ 1 + jitter` (which all
+    /// built-in policies satisfy), because the un-jittered ladder then grows at
+    /// least as fast as the worst-case jitter and the cap is applied last.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RetryPolicy {
+        /// Total attempts per logical call (1 = no retries).
+        pub max_attempts: u32,
+        /// Backoff before the first retry.
+        pub base_backoff: SimDuration,
+        /// Geometric growth factor between consecutive backoffs.
+        pub multiplier: f64,
+        /// Jitter fraction in `[0, 1]`; each wait is stretched by up to this.
+        pub jitter: f64,
+        /// Ceiling on any single backoff wait.
+        pub max_backoff: SimDuration,
+        /// Wall-clock budget for the *sum* of backoff waits of one logical call;
+        /// a retry whose wait would push past it is abandoned instead.
+        pub budget: SimDuration,
+        /// Consecutive gave-up calls that trip the circuit breaker (0 = never).
+        pub breaker_threshold: u32,
+        /// Calls fast-failed while the breaker is open, before it half-closes.
+        pub breaker_cooldown: u32,
+    }
 }
 
 impl Default for RetryPolicy {
@@ -154,51 +155,6 @@ impl RetryPolicy {
         }
         check_rate("jitter", self.jitter)?;
         Ok(self)
-    }
-}
-
-impl ToJson for RetryPolicy {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "max_attempts".into(),
-                JsonValue::Num(f64::from(self.max_attempts)),
-            ),
-            ("base_backoff".into(), self.base_backoff.to_json()),
-            ("multiplier".into(), JsonValue::Num(self.multiplier)),
-            ("jitter".into(), JsonValue::Num(self.jitter)),
-            ("max_backoff".into(), self.max_backoff.to_json()),
-            ("budget".into(), self.budget.to_json()),
-            (
-                "breaker_threshold".into(),
-                JsonValue::Num(f64::from(self.breaker_threshold)),
-            ),
-            (
-                "breaker_cooldown".into(),
-                JsonValue::Num(f64::from(self.breaker_cooldown)),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RetryPolicy {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let u32_field = |key: &str| -> Result<u32, JsonError> {
-            u32::try_from(value.u64_field(key)?)
-                .map_err(|_| JsonError::msg(format!("field `{key}` exceeds u32")))
-        };
-        RetryPolicy {
-            max_attempts: u32_field("max_attempts")?,
-            base_backoff: SimDuration::from_json(value.field("base_backoff")?)?,
-            multiplier: value.f64_field("multiplier")?,
-            jitter: value.f64_field("jitter")?,
-            max_backoff: SimDuration::from_json(value.field("max_backoff")?)?,
-            budget: SimDuration::from_json(value.field("budget")?)?,
-            breaker_threshold: u32_field("breaker_threshold")?,
-            breaker_cooldown: u32_field("breaker_cooldown")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("RetryPolicy: {e}")))
     }
 }
 

@@ -15,15 +15,13 @@
 //! [`SemanticFaultProfile::none()`], so fault-free runs replay
 //! byte-identically to builds without content faults at all.
 
-use crate::fault::check_rate;
-use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::check_rate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One injected content-corruption mode of a simulated LLM completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemanticFaultKind {
     /// The decision text is malformed/unparseable (broken JSON, rambling
     /// prose where an action was expected).
@@ -59,21 +57,24 @@ impl fmt::Display for SemanticFaultKind {
     }
 }
 
-/// Per-call content-corruption probabilities for one engine.
-///
-/// All probabilities are independent per call and drawn from the semantic
-/// injector's own seeded stream. The default profile is
-/// [`SemanticFaultProfile::none()`]: content faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SemanticFaultProfile {
-    /// Probability the completion is malformed/unparseable.
-    pub malformed: f64,
-    /// Probability the plan hallucinates an unobserved entity.
-    pub hallucinated_entity: f64,
-    /// Probability the plan is syntactically valid but environment-invalid.
-    pub invalid_action: f64,
-    /// Probability the plan is truncated at the context limit.
-    pub context_truncation: f64,
+embodied_profiler::record! {
+    config;
+    /// Per-call content-corruption probabilities for one engine.
+    ///
+    /// All probabilities are independent per call and drawn from the semantic
+    /// injector's own seeded stream. The default profile is
+    /// [`SemanticFaultProfile::none()`]: content faults are strictly opt-in.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SemanticFaultProfile {
+        /// Probability the completion is malformed/unparseable.
+        pub malformed: f64,
+        /// Probability the plan hallucinates an unobserved entity.
+        pub hallucinated_entity: f64,
+        /// Probability the plan is syntactically valid but environment-invalid.
+        pub invalid_action: f64,
+        /// Probability the plan is truncated at the context limit.
+        pub context_truncation: f64,
+    }
 }
 
 impl Default for SemanticFaultProfile {
@@ -134,43 +135,13 @@ impl SemanticFaultProfile {
     }
 }
 
-impl ToJson for SemanticFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("malformed".into(), JsonValue::Num(self.malformed)),
-            (
-                "hallucinated_entity".into(),
-                JsonValue::Num(self.hallucinated_entity),
-            ),
-            ("invalid_action".into(), JsonValue::Num(self.invalid_action)),
-            (
-                "context_truncation".into(),
-                JsonValue::Num(self.context_truncation),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SemanticFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        SemanticFaultProfile {
-            malformed: value.f64_field("malformed")?,
-            hallucinated_entity: value.f64_field("hallucinated_entity")?,
-            invalid_action: value.f64_field("invalid_action")?,
-            context_truncation: value.f64_field("context_truncation")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("SemanticFaultProfile: {e}")))
-    }
-}
-
 /// A content corruption stamped onto an otherwise successful response.
 ///
 /// `salt` is drawn from the semantic stream only when a fault fires; the
 /// planning layer uses it to materialize the flaw deterministically (which
 /// entity gets hallucinated, which invalid pattern gets emitted) without
 /// consuming any main-stream randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SemanticFlaw {
     /// The corruption mode that fired.
     pub kind: SemanticFaultKind,
@@ -231,6 +202,7 @@ impl SemanticFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embodied_profiler::{FromJson, JsonValue, ToJson};
 
     #[test]
     fn validated_rejects_bad_rates_and_json_round_trips() {

@@ -9,33 +9,34 @@
 //! performs zero draws and replays byte-identically to a build without the
 //! serving fault plane at all.
 
-use crate::fault::{check_factor, check_rate};
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
+use embodied_profiler::{check_factor, check_rate, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Per-placement fault probabilities for one backend replica fleet.
-///
-/// All probabilities are independent per scheduling decision and drawn from
-/// the injector's own seeded stream. The default profile is
-/// [`ServingFaultProfile::none()`]: serving faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServingFaultProfile {
-    /// Probability the replica chosen for a placement crashes while
-    /// serving it (the request fails over; the replica cold-restarts).
-    pub crash_rate: f64,
-    /// Cold-restart time a crashed replica stays down.
-    pub restart: SimDuration,
-    /// Probability a placement lands on a browned-out replica (noisy
-    /// neighbour / thermal throttle): it completes, but slower.
-    pub brownout_rate: f64,
-    /// Service-time multiplier under a brownout (≥ 1).
-    pub brownout_factor: f64,
-    /// Queue-overflow threshold: a replica whose backlog already exceeds
-    /// this spills the placement to a less-loaded healthy peer
-    /// (`SimDuration::ZERO` disables overflow handling).
-    pub overflow_queue: SimDuration,
+embodied_profiler::record! {
+    config;
+    /// Per-placement fault probabilities for one backend replica fleet.
+    ///
+    /// All probabilities are independent per scheduling decision and drawn from
+    /// the injector's own seeded stream. The default profile is
+    /// [`ServingFaultProfile::none()`]: serving faults are strictly opt-in.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ServingFaultProfile {
+        /// Probability the replica chosen for a placement crashes while
+        /// serving it (the request fails over; the replica cold-restarts).
+        pub crash_rate: f64,
+        /// Cold-restart time a crashed replica stays down.
+        pub restart: SimDuration,
+        /// Probability a placement lands on a browned-out replica (noisy
+        /// neighbour / thermal throttle): it completes, but slower.
+        pub brownout_rate: f64,
+        /// Service-time multiplier under a brownout (≥ 1).
+        pub brownout_factor: f64,
+        /// Queue-overflow threshold: a replica whose backlog already exceeds
+        /// this spills the placement to a less-loaded healthy peer
+        /// (`SimDuration::ZERO` disables overflow handling).
+        pub overflow_queue: SimDuration,
+    }
 }
 
 impl Default for ServingFaultProfile {
@@ -119,35 +120,6 @@ impl ServingFaultProfile {
     }
 }
 
-impl ToJson for ServingFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("crash_rate".into(), JsonValue::Num(self.crash_rate)),
-            ("restart".into(), self.restart.to_json()),
-            ("brownout_rate".into(), JsonValue::Num(self.brownout_rate)),
-            (
-                "brownout_factor".into(),
-                JsonValue::Num(self.brownout_factor),
-            ),
-            ("overflow_queue".into(), self.overflow_queue.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServingFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ServingFaultProfile {
-            crash_rate: value.f64_field("crash_rate")?,
-            restart: SimDuration::from_json(value.field("restart")?)?,
-            brownout_rate: value.f64_field("brownout_rate")?,
-            brownout_factor: value.f64_field("brownout_factor")?,
-            overflow_queue: SimDuration::from_json(value.field("overflow_queue")?)?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ServingFaultProfile: {e}")))
-    }
-}
-
 /// Draws serving faults for one backend fleet from a dedicated seeded
 /// stream, independent of every engine's main and fault streams.
 #[derive(Debug, Clone)]
@@ -187,6 +159,7 @@ impl ServingFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embodied_profiler::{FromJson, JsonValue, ToJson};
 
     #[test]
     fn none_profile_never_fires_and_never_draws() {

@@ -8,7 +8,7 @@
 //! (hash order, thread timing, pointer identity) ever influences pop
 //! order.
 
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, SimInstant, ToJson};
+use embodied_profiler::{SimDuration, SimInstant};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -126,19 +126,22 @@ impl EventQueue {
 /// unit mistake, and would couple every episode into one giant batch.
 const MAX_FLEET_DURATION: SimDuration = SimDuration::from_secs(600);
 
-/// Knobs of the fleet runner: how episode sessions arrive at the shared
-/// serving stack and how long cross-episode batch windows stay open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// Virtual-time spacing between consecutive episode arrivals.
-    pub stagger: SimDuration,
-    /// How long an opened serving window keeps collecting members before
-    /// its `BatchWindowClose` event settles it. Zero closes the window at
-    /// the opening episode's step end — per-episode batching only.
-    pub batch_window: SimDuration,
-    /// Maximum episodes running concurrently; arrivals past the cap queue
-    /// for admission until a session completes. 0 means unbounded.
-    pub max_sessions: u32,
+embodied_profiler::record! {
+    config;
+    /// Knobs of the fleet runner: how episode sessions arrive at the shared
+    /// serving stack and how long cross-episode batch windows stay open.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FleetConfig {
+        /// Virtual-time spacing between consecutive episode arrivals.
+        pub stagger: SimDuration,
+        /// How long an opened serving window keeps collecting members before
+        /// its `BatchWindowClose` event settles it. Zero closes the window at
+        /// the opening episode's step end — per-episode batching only.
+        pub batch_window: SimDuration,
+        /// Maximum episodes running concurrently; arrivals past the cap queue
+        /// for admission until a session completes. 0 means unbounded.
+        pub max_sessions: u32,
+    }
 }
 
 impl Default for FleetConfig {
@@ -193,96 +196,49 @@ impl FleetConfig {
     }
 }
 
-impl ToJson for FleetConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("stagger".into(), self.stagger.to_json()),
-            ("batch_window".into(), self.batch_window.to_json()),
-            (
-                "max_sessions".into(),
-                JsonValue::Num(f64::from(self.max_sessions)),
-            ),
-        ])
+embodied_profiler::record! {
+    config;
+    /// Fleet-level counters the per-episode reports cannot express: the
+    /// contention the shared serving substrate actually saw.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct FleetSummary {
+        /// Episode sessions admitted to the shared stack.
+        pub sessions: u64,
+        /// Total events processed by the event loop.
+        pub events: u64,
+        /// Peak concurrently decoding placements across all backends.
+        pub peak_in_flight: u32,
+        /// `DecodeFinish` events consumed (completed placements).
+        pub decode_events: u64,
+        /// `ReplicaRestart` events consumed (crashed replicas rejoining).
+        pub restarts: u64,
+        /// Batches whose members spanned two or more episodes — the effect a
+        /// per-episode loop cannot express.
+        pub cross_episode_batches: u64,
+        /// Final virtual-clock reading: wall-clock of the whole fleet.
+        pub makespan: SimDuration,
     }
 }
 
-impl FromJson for FleetConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let max_sessions = u32::try_from(value.u64_field("max_sessions")?)
-            .map_err(|_| JsonError::msg("field `max_sessions` exceeds u32"))?;
-        FleetConfig {
-            stagger: SimDuration::from_json(value.field("stagger")?)?,
-            batch_window: SimDuration::from_json(value.field("batch_window")?)?,
-            max_sessions,
+impl FleetSummary {
+    /// Validated constructor: the substrate events (`DecodeFinish`,
+    /// `ReplicaRestart`) are a subset of all events processed, so their
+    /// counts cannot exceed `events`.
+    pub fn validated(self) -> Result<Self, String> {
+        if self.decode_events + self.restarts > self.events {
+            return Err(format!(
+                "decode_events {} + restarts {} exceed events {}",
+                self.decode_events, self.restarts, self.events
+            ));
         }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("FleetConfig: {e}")))
-    }
-}
-
-/// Fleet-level counters the per-episode reports cannot express: the
-/// contention the shared serving substrate actually saw.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FleetSummary {
-    /// Episode sessions admitted to the shared stack.
-    pub sessions: u64,
-    /// Total events processed by the event loop.
-    pub events: u64,
-    /// Peak concurrently decoding placements across all backends.
-    pub peak_in_flight: u32,
-    /// `DecodeFinish` events consumed (completed placements).
-    pub decode_events: u64,
-    /// `ReplicaRestart` events consumed (crashed replicas rejoining).
-    pub restarts: u64,
-    /// Batches whose members spanned two or more episodes — the effect a
-    /// per-episode loop cannot express.
-    pub cross_episode_batches: u64,
-    /// Final virtual-clock reading: wall-clock of the whole fleet.
-    pub makespan: SimDuration,
-}
-
-impl ToJson for FleetSummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("sessions".into(), JsonValue::Num(self.sessions as f64)),
-            ("events".into(), JsonValue::Num(self.events as f64)),
-            (
-                "peak_in_flight".into(),
-                JsonValue::Num(f64::from(self.peak_in_flight)),
-            ),
-            (
-                "decode_events".into(),
-                JsonValue::Num(self.decode_events as f64),
-            ),
-            ("restarts".into(), JsonValue::Num(self.restarts as f64)),
-            (
-                "cross_episode_batches".into(),
-                JsonValue::Num(self.cross_episode_batches as f64),
-            ),
-            ("makespan".into(), self.makespan.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FleetSummary {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let peak = u32::try_from(value.u64_field("peak_in_flight")?)
-            .map_err(|_| JsonError::msg("field `peak_in_flight` exceeds u32"))?;
-        Ok(FleetSummary {
-            sessions: value.u64_field("sessions")?,
-            events: value.u64_field("events")?,
-            peak_in_flight: peak,
-            decode_events: value.u64_field("decode_events")?,
-            restarts: value.u64_field("restarts")?,
-            cross_episode_batches: value.u64_field("cross_episode_batches")?,
-            makespan: SimDuration::from_json(value.field("makespan")?)?,
-        })
+        Ok(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embodied_profiler::{FromJson, JsonValue, ToJson};
 
     fn at(secs: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs(secs)
@@ -417,5 +373,10 @@ mod tests {
         let text = summary.to_json().render_pretty();
         let back = FleetSummary::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, summary);
+        let impossible = FleetSummary {
+            decode_events: 500,
+            ..summary
+        };
+        assert!(FleetSummary::from_json(&impossible.to_json()).is_err());
     }
 }

@@ -8,8 +8,6 @@
 //! words are one token, long words split into ~4-character subwords, and
 //! punctuation/digits tokenize separately.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic subword tokenizer used by every simulated model.
 ///
 /// ```
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // Long words split into subwords, like real BPE vocabularies.
 /// assert!(tok.count("antidisestablishmentarianism") > 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tokenizer {
     /// Maximum characters a single subword token absorbs.
     subword_len: usize,
@@ -199,7 +197,7 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// prompt.push_str("[observation] the fridge is open\n");
 /// assert_eq!(tok.count_incremental(&mut cache, &prompt), tok.count(&prompt));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PromptTokens {
     text: String,
     checkpoints: Vec<(usize, u64)>,

@@ -5,7 +5,7 @@
 use crate::span::Trace;
 use std::fmt::Write as _;
 
-/// Serializes a trace into the Chrome trace-event JSON array format.
+/// Renders a trace in the Chrome trace-event JSON array format.
 ///
 /// Each span becomes a complete (`"ph":"X"`) event: `pid` 0, `tid` = agent
 /// index, timestamps in microseconds of *simulated* time.

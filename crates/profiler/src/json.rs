@@ -1,12 +1,15 @@
 //! Minimal JSON tree, parser and writer for checked-in artifacts.
 //!
-//! The workspace pins `serde` to a no-op stand-in (the build container has
-//! no route to crates.io), so types that need *real* serialization — the
-//! evolved-scenario fixtures of the adversarial robustness suite — go
-//! through this module instead: a small [`JsonValue`] tree with a strict
+//! Every type the suite serializes — run overrides, fault profiles, the
+//! evolved-scenario fixtures of the adversarial robustness suite — goes
+//! through this module: a small [`JsonValue`] tree with a strict
 //! recursive-descent parser and a deterministic writer, plus the
-//! [`ToJson`]/[`FromJson`] traits the suite's config types implement by
-//! hand.
+//! [`ToJson`]/[`FromJson`] traits and their impls for the primitive field
+//! types. A new flat config is one [`crate::record!`] call, which derives
+//! both traits from the field list (keys are field names, in declaration
+//! order, and parsing goes through the type's `validated()`); a unit enum
+//! is one `record!` tag table. Only formats that carry data in a variant
+//! or omit unset keys are written by hand.
 //!
 //! Determinism contract: objects preserve insertion order, floats are
 //! rendered with Rust's shortest round-trip formatting, and
@@ -124,32 +127,11 @@ impl JsonValue {
         }
     }
 
-    /// `field(key)` narrowed to a float.
-    pub fn f64_field(&self, key: &str) -> Result<f64, JsonError> {
-        self.field(key)?
-            .as_f64()
-            .ok_or_else(|| JsonError::msg(format!("field `{key}` is not a number")))
-    }
-
-    /// `field(key)` narrowed to an exact non-negative integer.
-    pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
-        self.field(key)?
-            .as_u64()
-            .ok_or_else(|| JsonError::msg(format!("field `{key}` is not a non-negative integer")))
-    }
-
-    /// `field(key)` narrowed to a bool.
-    pub fn bool_field(&self, key: &str) -> Result<bool, JsonError> {
-        self.field(key)?
-            .as_bool()
-            .ok_or_else(|| JsonError::msg(format!("field `{key}` is not a bool")))
-    }
-
-    /// `field(key)` narrowed to a string.
-    pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
-        self.field(key)?
-            .as_str()
-            .ok_or_else(|| JsonError::msg(format!("field `{key}` is not a string")))
+    /// Decodes the value under `key` of an object, naming the field when
+    /// it is absent or malformed — the typed accessor every record's
+    /// [`FromJson`] goes through.
+    pub fn decode<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        T::from_json(self.field(key)?).map_err(|e| JsonError::msg(format!("field `{key}`: {e}")))
     }
 
     /// Parses a JSON document. Strict: rejects trailing input, duplicate
@@ -505,6 +487,108 @@ impl FromJson for crate::SimDuration {
     }
 }
 
+impl ToJson for f64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Num(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        value
+            .as_f64()
+            .ok_or_else(|| JsonError::msg("expected a number"))
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        value
+            .as_bool()
+            .ok_or_else(|| JsonError::msg("expected a bool"))
+    }
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Num(*self as f64)
+    }
+}
+
+impl FromJson for u64 {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        value
+            .as_u64()
+            .ok_or_else(|| JsonError::msg("expected a non-negative integer"))
+    }
+}
+
+impl ToJson for u32 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Num(f64::from(*self))
+    }
+}
+
+impl FromJson for u32 {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let n = u64::from_json(value)?;
+        u32::try_from(n).map_err(|_| JsonError::msg(format!("{n} exceeds u32")))
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Num(*self as f64)
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let n = u64::from_json(value)?;
+        usize::try_from(n).map_err(|_| JsonError::msg(format!("{n} exceeds usize")))
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        value
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| JsonError::msg("expected a string"))
+    }
+}
+
+/// `None` is `null`; `Some(v)` is `v`'s own rendering.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            Some(v) => v.to_json(),
+            None => JsonValue::Null,
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        match value {
+            JsonValue::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,14 +668,26 @@ mod tests {
 
     #[test]
     fn accessors_narrow_types() {
-        let v = JsonValue::parse(r#"{"n": 3, "f": 0.5, "b": false, "s": "x"}"#).unwrap();
-        assert_eq!(v.u64_field("n").unwrap(), 3);
-        assert_eq!(v.f64_field("f").unwrap(), 0.5);
-        assert!(!v.bool_field("b").unwrap());
-        assert_eq!(v.str_field("s").unwrap(), "x");
+        let v = JsonValue::parse(
+            r#"{"n": 3, "f": 0.5, "b": false, "s": "x", "z": null, "big": 4294967296}"#,
+        )
+        .unwrap();
+        assert_eq!(v.decode::<u64>("n").unwrap(), 3);
+        assert_eq!(v.decode::<u32>("n").unwrap(), 3);
+        assert_eq!(v.decode::<usize>("n").unwrap(), 3);
+        assert_eq!(v.decode::<f64>("f").unwrap(), 0.5);
+        assert!(!v.decode::<bool>("b").unwrap());
+        assert_eq!(v.decode::<String>("s").unwrap(), "x");
+        assert_eq!(v.decode::<Option<u64>>("z").unwrap(), None);
+        assert_eq!(v.decode::<Option<u64>>("n").unwrap(), Some(3));
         assert!(v.field("missing").is_err());
-        assert!(v.u64_field("f").is_err(), "0.5 is not an integer");
+        assert!(v.decode::<u64>("f").is_err(), "0.5 is not an integer");
         assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
+        assert_eq!(v.decode::<u64>("big").unwrap(), 1 << 32);
+        let overflow = v.decode::<u32>("big").unwrap_err().to_string();
+        assert!(overflow.contains("`big`") && overflow.contains("exceeds u32"));
+        assert_eq!(Some(3u32).to_json(), JsonValue::Num(3.0));
+        assert_eq!(None::<u32>.to_json(), JsonValue::Null);
     }
 
     #[test]

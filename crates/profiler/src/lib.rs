@@ -15,6 +15,8 @@
 //! * [`LatencyBreakdown`], [`TokenStats`], [`MessageStats`], [`StepRecord`]
 //!   — derived metrics;
 //! * [`EpisodeReport`] / [`Aggregate`] — what experiment binaries print;
+//! * [`record!`] / [`ToJson`] / [`FromJson`] — counters, configs and tag
+//!   enums declared once, with generated merge and validated JSON;
 //! * [`Table`] / [`ascii_bar`] / [`pct`] — paper-style text rendering.
 //!
 //! ```
@@ -37,6 +39,7 @@ mod gantt;
 mod json;
 mod metrics;
 mod module;
+mod record;
 mod report;
 mod span;
 mod stats;
@@ -52,6 +55,7 @@ pub use metrics::{
     StepRecord, TokenStats,
 };
 pub use module::{ModuleKind, Phase};
+pub use record::{check_factor, check_rate};
 pub use report::{Aggregate, EpisodeReport, Outcome};
 pub use span::{Span, Trace};
 pub use stats::{std_normal_cdf, welch_t_test, Sample, WelchTest};

@@ -4,14 +4,13 @@
 use crate::module::ModuleKind;
 use crate::span::Trace;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-module latency totals for an episode (or any slice of one).
 ///
 /// This is the data behind Fig. 2a: the share of per-step latency each
 /// building block contributes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyBreakdown {
     totals: [SimDuration; 6],
 }
@@ -92,22 +91,25 @@ impl fmt::Display for LatencyBreakdown {
     }
 }
 
-/// LLM usage counters for an episode.
-///
-/// Drives Fig. 6 (prompt growth) and Fig. 7's call/token scaling analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TokenStats {
-    /// Number of LLM inference runs (API calls or local forward passes).
-    pub calls: u64,
-    /// Total prompt tokens consumed.
-    pub prompt_tokens: u64,
-    /// Total completion tokens produced.
-    pub completion_tokens: u64,
-    /// Accumulated API cost in USD (zero for local models).
-    pub cost_usd: f64,
-    /// Calls whose prompt exceeded the context window and was truncated
-    /// (the Fig. 6 "occasionally exceed LLM's token limit" events).
-    pub overflows: u64,
+crate::record! {
+    counter;
+    /// LLM usage counters for an episode.
+    ///
+    /// Drives Fig. 6 (prompt growth) and Fig. 7's call/token scaling analysis.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct TokenStats {
+        /// Number of LLM inference runs (API calls or local forward passes).
+        pub calls: u64,
+        /// Total prompt tokens consumed.
+        pub prompt_tokens: u64,
+        /// Total completion tokens produced.
+        pub completion_tokens: u64,
+        /// Accumulated API cost in USD (zero for local models).
+        pub cost_usd: f64,
+        /// Calls whose prompt exceeded the context window and was truncated
+        /// (the Fig. 6 "occasionally exceed LLM's token limit" events).
+        pub overflows: u64,
+    }
 }
 
 impl TokenStats {
@@ -124,15 +126,6 @@ impl TokenStats {
         self.prompt_tokens + self.completion_tokens
     }
 
-    /// Merges counters from another episode slice.
-    pub fn merge(&mut self, other: &TokenStats) {
-        self.calls += other.calls;
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
-        self.cost_usd += other.cost_usd;
-        self.overflows += other.overflows;
-    }
-
     /// Mean prompt length per call (0 when no calls were made).
     pub fn mean_prompt_tokens(&self) -> f64 {
         if self.calls == 0 {
@@ -144,7 +137,7 @@ impl TokenStats {
 }
 
 /// What one environment step looked like, for per-step time series (Fig. 6).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepRecord {
     /// Step index within the episode.
     pub step: usize,
@@ -161,7 +154,7 @@ pub struct StepRecord {
 /// Per-purpose LLM usage: the data behind the paper's in-text splits such
 /// as CoELA's three runs per step (message generation / planning / action
 /// selection).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeUsage {
     /// Purpose label, e.g. `"planning"`.
     pub purpose: String,
@@ -176,7 +169,7 @@ pub struct PurposeUsage {
 }
 
 /// An accumulating per-purpose usage ledger.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeLedger {
     entries: Vec<PurposeUsage>,
 }
@@ -247,14 +240,17 @@ impl PurposeLedger {
     }
 }
 
-/// Communication-utility counters (paper §V-D: only ~20% of CoELA's
-/// pre-generated messages turn out to be useful).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MessageStats {
-    /// Messages generated by communication modules.
-    pub generated: u64,
-    /// Messages that actually altered a recipient's plan or state.
-    pub useful: u64,
+crate::record! {
+    counter;
+    /// Communication-utility counters (paper §V-D: only ~20% of CoELA's
+    /// pre-generated messages turn out to be useful).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MessageStats {
+        /// Messages generated by communication modules.
+        pub generated: u64,
+        /// Messages that actually altered a recipient's plan or state.
+        pub useful: u64,
+    }
 }
 
 impl MessageStats {
@@ -266,50 +262,47 @@ impl MessageStats {
             self.useful as f64 / self.generated as f64
         }
     }
-
-    /// Merge counters.
-    pub fn merge(&mut self, other: &MessageStats) {
-        self.generated += other.generated;
-        self.useful += other.useful;
-    }
 }
 
-/// Fault-injection and resilience counters for an episode.
-///
-/// Fault and retry counters come from the LLM substrate (how often the
-/// simulated endpoint misbehaved and what the retry layer paid to hide it);
-/// the degraded-step counters come from the agent layer (how often a module
-/// had to fall back to a cheaper behaviour because retries were exhausted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceStats {
-    /// Timeout faults injected by the substrate.
-    pub timeouts: u64,
-    /// Rate-limit faults injected by the substrate.
-    pub rate_limits: u64,
-    /// Server-error faults injected by the substrate.
-    pub server_errors: u64,
-    /// Truncated-output faults injected by the substrate.
-    pub truncated_outputs: u64,
-    /// Latency-spike faults injected (the call succeeded, slowly).
-    pub latency_spikes: u64,
-    /// Retry attempts issued by the resilience layer.
-    pub retries: u64,
-    /// Calls that exhausted their retry budget and surfaced an error.
-    pub gave_up: u64,
-    /// Calls rejected immediately because the circuit breaker was open.
-    pub breaker_fast_fails: u64,
-    /// Total simulated time spent waiting out retry backoffs.
-    pub backoff: SimDuration,
-    /// Total simulated latency burned in attempts that ultimately failed.
-    pub wasted_latency: SimDuration,
-    /// Steps where planning fell back to a cached plan or exploration.
-    pub degraded_planning: u64,
-    /// Steps where a message was dropped instead of sent.
-    pub degraded_communication: u64,
-    /// Steps where reflection was skipped.
-    pub degraded_reflection: u64,
-    /// Steps where LLM micro-control fell back to the scripted controller.
-    pub degraded_execution: u64,
+crate::record! {
+    counter;
+    /// Fault-injection and resilience counters for an episode.
+    ///
+    /// Fault and retry counters come from the LLM substrate (how often the
+    /// simulated endpoint misbehaved and what the retry layer paid to hide it);
+    /// the degraded-step counters come from the agent layer (how often a module
+    /// had to fall back to a cheaper behaviour because retries were exhausted).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ResilienceStats {
+        /// Timeout faults injected by the substrate.
+        pub timeouts: u64,
+        /// Rate-limit faults injected by the substrate.
+        pub rate_limits: u64,
+        /// Server-error faults injected by the substrate.
+        pub server_errors: u64,
+        /// Truncated-output faults injected by the substrate.
+        pub truncated_outputs: u64,
+        /// Latency-spike faults injected (the call succeeded, slowly).
+        pub latency_spikes: u64,
+        /// Retry attempts issued by the resilience layer.
+        pub retries: u64,
+        /// Calls that exhausted their retry budget and surfaced an error.
+        pub gave_up: u64,
+        /// Calls rejected immediately because the circuit breaker was open.
+        pub breaker_fast_fails: u64,
+        /// Total simulated time spent waiting out retry backoffs.
+        pub backoff: SimDuration,
+        /// Total simulated latency burned in attempts that ultimately failed.
+        pub wasted_latency: SimDuration,
+        /// Steps where planning fell back to a cached plan or exploration.
+        pub degraded_planning: u64,
+        /// Steps where a message was dropped instead of sent.
+        pub degraded_communication: u64,
+        /// Steps where reflection was skipped.
+        pub degraded_reflection: u64,
+        /// Steps where LLM micro-control fell back to the scripted controller.
+        pub degraded_execution: u64,
+    }
 }
 
 impl ResilienceStats {
@@ -335,61 +328,46 @@ impl ResilienceStats {
     pub fn is_quiet(&self) -> bool {
         self.faults() == 0 && self.retries == 0 && self.breaker_fast_fails == 0
     }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ResilienceStats) {
-        self.timeouts += other.timeouts;
-        self.rate_limits += other.rate_limits;
-        self.server_errors += other.server_errors;
-        self.truncated_outputs += other.truncated_outputs;
-        self.latency_spikes += other.latency_spikes;
-        self.retries += other.retries;
-        self.gave_up += other.gave_up;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.backoff += other.backoff;
-        self.wasted_latency += other.wasted_latency;
-        self.degraded_planning += other.degraded_planning;
-        self.degraded_communication += other.degraded_communication;
-        self.degraded_reflection += other.degraded_reflection;
-        self.degraded_execution += other.degraded_execution;
-    }
 }
 
-/// Agent-level fault counters for an episode: crashes, stalls, recoveries,
-/// heartbeat-staleness detections, and coordinator failure/failover events.
-///
-/// Where [`ResilienceStats`] accounts faults of the *LLM substrate* (one
-/// call misbehaving), these counters account faults of the *agents
-/// themselves* — a robot process dying mid-episode, a teammate noticing the
-/// silence, a coordinator being re-elected. All zero when the episode ran
-/// with a fault-free agent profile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AgentFaultStats {
-    /// Agent crash events injected.
-    pub crashes: u64,
-    /// One-step agent stalls injected (the agent froze but did not die).
-    pub stalls: u64,
-    /// Crashed agents that completed their reboot and rejoined.
-    pub recoveries: u64,
-    /// Agent-steps lost while an agent was down.
-    pub downtime_steps: u64,
-    /// Messages that never reached a recipient because it was down.
-    pub missed_messages: u64,
-    /// Heartbeat-staleness events: a teammate began suspecting a silent
-    /// peer and re-planned around it.
-    pub suspected_peers: u64,
-    /// Coordinator-process crash events (centralized/hybrid paradigms).
-    pub coordinator_crashes: u64,
-    /// Steps the system ran headless — coordinator down, no failover yet.
-    pub coordinator_down_steps: u64,
-    /// Failover promotions: a surviving agent took over the coordinator
-    /// role by the deterministic lowest-alive-id rule.
-    pub failovers: u64,
-    /// Tokens spent re-synchronizing state into a promoted coordinator.
-    pub resync_tokens: u64,
-    /// Centralized assignments that never reached their agent (lost or
-    /// late on the instruction channel), forcing a stale-plan fallback.
-    pub lost_assignments: u64,
+crate::record! {
+    counter;
+    /// Agent-level fault counters for an episode: crashes, stalls, recoveries,
+    /// heartbeat-staleness detections, and coordinator failure/failover events.
+    ///
+    /// Where [`ResilienceStats`] accounts faults of the *LLM substrate* (one
+    /// call misbehaving), these counters account faults of the *agents
+    /// themselves* — a robot process dying mid-episode, a teammate noticing the
+    /// silence, a coordinator being re-elected. All zero when the episode ran
+    /// with a fault-free agent profile.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AgentFaultStats {
+        /// Agent crash events injected.
+        pub crashes: u64,
+        /// One-step agent stalls injected (the agent froze but did not die).
+        pub stalls: u64,
+        /// Crashed agents that completed their reboot and rejoined.
+        pub recoveries: u64,
+        /// Agent-steps lost while an agent was down.
+        pub downtime_steps: u64,
+        /// Messages that never reached a recipient because it was down.
+        pub missed_messages: u64,
+        /// Heartbeat-staleness events: a teammate began suspecting a silent
+        /// peer and re-planned around it.
+        pub suspected_peers: u64,
+        /// Coordinator-process crash events (centralized/hybrid paradigms).
+        pub coordinator_crashes: u64,
+        /// Steps the system ran headless — coordinator down, no failover yet.
+        pub coordinator_down_steps: u64,
+        /// Failover promotions: a surviving agent took over the coordinator
+        /// role by the deterministic lowest-alive-id rule.
+        pub failovers: u64,
+        /// Tokens spent re-synchronizing state into a promoted coordinator.
+        pub resync_tokens: u64,
+        /// Centralized assignments that never reached their agent (lost or
+        /// late on the instruction channel), forcing a stale-plan fallback.
+        pub lost_assignments: u64,
+    }
 }
 
 impl AgentFaultStats {
@@ -402,21 +380,6 @@ impl AgentFaultStats {
     /// — reports stay identical to pre-fault builds).
     pub fn is_quiet(&self) -> bool {
         self.faults() == 0 && self.suspected_peers == 0 && self.lost_assignments == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &AgentFaultStats) {
-        self.crashes += other.crashes;
-        self.stalls += other.stalls;
-        self.recoveries += other.recoveries;
-        self.downtime_steps += other.downtime_steps;
-        self.missed_messages += other.missed_messages;
-        self.suspected_peers += other.suspected_peers;
-        self.coordinator_crashes += other.coordinator_crashes;
-        self.coordinator_down_steps += other.coordinator_down_steps;
-        self.failovers += other.failovers;
-        self.resync_tokens += other.resync_tokens;
-        self.lost_assignments += other.lost_assignments;
     }
 }
 
@@ -443,26 +406,29 @@ impl fmt::Display for AgentFaultStats {
     }
 }
 
-/// Message-channel fault counters for an episode: what a lossy network did
-/// to inter-agent (and agent↔coordinator) traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChannelStats {
-    /// Messages dropped in flight.
-    pub dropped: u64,
-    /// Extra copies delivered by duplication faults.
-    pub duplicated: u64,
-    /// Messages delivered garbled (text unusable, entities lost).
-    pub corrupted: u64,
-    /// Messages queued for late delivery.
-    pub delayed: u64,
-    /// Network-partition windows that opened.
-    pub partitions: u64,
-    /// Steps during which a partition was active.
-    pub partition_steps: u64,
-    /// Messages blocked at a partition cut.
-    pub partition_blocked: u64,
-    /// Heartbeats lost to drops or partitions (feeds false suspicions).
-    pub heartbeats_lost: u64,
+crate::record! {
+    counter;
+    /// Message-channel fault counters for an episode: what a lossy network did
+    /// to inter-agent (and agent↔coordinator) traffic.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChannelStats {
+        /// Messages dropped in flight.
+        pub dropped: u64,
+        /// Extra copies delivered by duplication faults.
+        pub duplicated: u64,
+        /// Messages delivered garbled (text unusable, entities lost).
+        pub corrupted: u64,
+        /// Messages queued for late delivery.
+        pub delayed: u64,
+        /// Network-partition windows that opened.
+        pub partitions: u64,
+        /// Steps during which a partition was active.
+        pub partition_steps: u64,
+        /// Messages blocked at a partition cut.
+        pub partition_blocked: u64,
+        /// Heartbeats lost to drops or partitions (feeds false suspicions).
+        pub heartbeats_lost: u64,
+    }
 }
 
 impl ChannelStats {
@@ -474,18 +440,6 @@ impl ChannelStats {
     /// Whether the channel behaved perfectly (the fault-free default).
     pub fn is_quiet(&self) -> bool {
         self.events() == 0 && self.partitions == 0 && self.heartbeats_lost == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ChannelStats) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.corrupted += other.corrupted;
-        self.delayed += other.delayed;
-        self.partitions += other.partitions;
-        self.partition_steps += other.partition_steps;
-        self.partition_blocked += other.partition_blocked;
-        self.heartbeats_lost += other.heartbeats_lost;
     }
 }
 
@@ -508,45 +462,48 @@ impl fmt::Display for ChannelStats {
     }
 }
 
-/// Guardrail validation/repair counters for an episode: what the semantic
-/// fault plane injected and what the repair pipeline paid to contain it.
-///
-/// Where [`ResilienceStats`] accounts *transport* faults (a call failing
-/// outright) and [`AgentFaultStats`] accounts *process* faults, these
-/// counters account *content* faults — responses that arrived on time but
-/// carried malformed, hallucinated, invalid or truncated plans — plus the
-/// validator/repair work spent before any of them reached actuation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RepairStats {
-    /// Plan decisions checked by the validator.
-    pub validations: u64,
-    /// Rejections for malformed / unparseable decision text.
-    pub rejected_malformed: u64,
-    /// Rejections for entities absent from the current observation.
-    pub rejected_hallucinated: u64,
-    /// Rejections for syntactically valid but environment-invalid actions.
-    pub rejected_invalid_action: u64,
-    /// Rejections for plans truncated at the context limit.
-    pub rejected_truncated: u64,
-    /// Re-prompt repair attempts issued (each pays real tokens/latency).
-    pub repair_attempts: u64,
-    /// Rejected plans ultimately repaired to a valid action.
-    pub repaired: u64,
-    /// Rejected plans constrained to the nearest valid action.
-    pub constrained: u64,
-    /// Rejected plans degraded to a skipped step.
-    pub skipped_steps: u64,
-    /// Rejected plans that slipped to actuation anyway (repair exhausted
-    /// or disabled) — the residual invalid-action count.
-    pub residual_invalid: u64,
-    /// Prompt + completion tokens spent on repair re-prompts.
-    pub repair_tokens: u64,
-    /// API cost (USD) of repair re-prompts.
-    pub repair_cost_usd: f64,
-    /// Simulated latency of validation passes.
-    pub validate_latency: SimDuration,
-    /// Simulated latency of repair re-prompts.
-    pub repair_latency: SimDuration,
+crate::record! {
+    counter;
+    /// Guardrail validation/repair counters for an episode: what the semantic
+    /// fault plane injected and what the repair pipeline paid to contain it.
+    ///
+    /// Where [`ResilienceStats`] accounts *transport* faults (a call failing
+    /// outright) and [`AgentFaultStats`] accounts *process* faults, these
+    /// counters account *content* faults — responses that arrived on time but
+    /// carried malformed, hallucinated, invalid or truncated plans — plus the
+    /// validator/repair work spent before any of them reached actuation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RepairStats {
+        /// Plan decisions checked by the validator.
+        pub validations: u64,
+        /// Rejections for malformed / unparseable decision text.
+        pub rejected_malformed: u64,
+        /// Rejections for entities absent from the current observation.
+        pub rejected_hallucinated: u64,
+        /// Rejections for syntactically valid but environment-invalid actions.
+        pub rejected_invalid_action: u64,
+        /// Rejections for plans truncated at the context limit.
+        pub rejected_truncated: u64,
+        /// Re-prompt repair attempts issued (each pays real tokens/latency).
+        pub repair_attempts: u64,
+        /// Rejected plans ultimately repaired to a valid action.
+        pub repaired: u64,
+        /// Rejected plans constrained to the nearest valid action.
+        pub constrained: u64,
+        /// Rejected plans degraded to a skipped step.
+        pub skipped_steps: u64,
+        /// Rejected plans that slipped to actuation anyway (repair exhausted
+        /// or disabled) — the residual invalid-action count.
+        pub residual_invalid: u64,
+        /// Prompt + completion tokens spent on repair re-prompts.
+        pub repair_tokens: u64,
+        /// API cost (USD) of repair re-prompts.
+        pub repair_cost_usd: f64,
+        /// Simulated latency of validation passes.
+        pub validate_latency: SimDuration,
+        /// Simulated latency of repair re-prompts.
+        pub repair_latency: SimDuration,
+    }
 }
 
 impl RepairStats {
@@ -573,24 +530,6 @@ impl RepairStats {
     /// identical to pre-guardrail builds).
     pub fn is_quiet(&self) -> bool {
         self.validations == 0 && self.rejections() == 0 && self.repair_attempts == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &RepairStats) {
-        self.validations += other.validations;
-        self.rejected_malformed += other.rejected_malformed;
-        self.rejected_hallucinated += other.rejected_hallucinated;
-        self.rejected_invalid_action += other.rejected_invalid_action;
-        self.rejected_truncated += other.rejected_truncated;
-        self.repair_attempts += other.repair_attempts;
-        self.repaired += other.repaired;
-        self.constrained += other.constrained;
-        self.skipped_steps += other.skipped_steps;
-        self.residual_invalid += other.residual_invalid;
-        self.repair_tokens += other.repair_tokens;
-        self.repair_cost_usd += other.repair_cost_usd;
-        self.validate_latency += other.validate_latency;
-        self.repair_latency += other.repair_latency;
     }
 }
 
@@ -619,35 +558,38 @@ impl fmt::Display for RepairStats {
     }
 }
 
-/// Serving-layer counters for an episode: what the shared inference
-/// service scheduled, batched, queued, and saved through prefix reuse.
-///
-/// All zero when the service runs in pass-through mode (the default: no
-/// batching, unbounded backend concurrency) — reports stay identical to
-/// pre-serving builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServingStats {
-    /// Independent same-phase requests scheduled under the concurrency
-    /// limit (each may add load to a server slot).
-    pub cohort_requests: u64,
-    /// Dependent follow-up requests (action selection, verification,
-    /// reflection, guardrail re-prompts) that waited for a free slot
-    /// without reserving one.
-    pub solo_requests: u64,
-    /// Batches closed (one shared `infer_batch`-style bill each).
-    pub batches: u64,
-    /// Requests served inside those batches.
-    pub batched_requests: u64,
-    /// Scheduling decisions (requests or whole batches) that found every
-    /// server slot busy and had to wait.
-    pub queued: u64,
-    /// Total simulated time spent waiting for server slots.
-    pub queue_delay: SimDuration,
-    /// Batched requests whose shared system-preamble prefix was already
-    /// resident in the backend's KV cache.
-    pub prefix_hits: u64,
-    /// Prompt tokens not recomputed thanks to those prefix hits.
-    pub prefix_reused_tokens: u64,
+crate::record! {
+    counter;
+    /// Serving-layer counters for an episode: what the shared inference
+    /// service scheduled, batched, queued, and saved through prefix reuse.
+    ///
+    /// All zero when the service runs in pass-through mode (the default: no
+    /// batching, unbounded backend concurrency) — reports stay identical to
+    /// pre-serving builds.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServingStats {
+        /// Independent same-phase requests scheduled under the concurrency
+        /// limit (each may add load to a server slot).
+        pub cohort_requests: u64,
+        /// Dependent follow-up requests (action selection, verification,
+        /// reflection, guardrail re-prompts) that waited for a free slot
+        /// without reserving one.
+        pub solo_requests: u64,
+        /// Batches closed (one shared `infer_batch`-style bill each).
+        pub batches: u64,
+        /// Requests served inside those batches.
+        pub batched_requests: u64,
+        /// Scheduling decisions (requests or whole batches) that found every
+        /// server slot busy and had to wait.
+        pub queued: u64,
+        /// Total simulated time spent waiting for server slots.
+        pub queue_delay: SimDuration,
+        /// Batched requests whose shared system-preamble prefix was already
+        /// resident in the backend's KV cache.
+        pub prefix_hits: u64,
+        /// Prompt tokens not recomputed thanks to those prefix hits.
+        pub prefix_reused_tokens: u64,
+    }
 }
 
 impl ServingStats {
@@ -675,18 +617,6 @@ impl ServingStats {
             self.prefix_hits as f64 / self.batched_requests as f64
         }
     }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ServingStats) {
-        self.cohort_requests += other.cohort_requests;
-        self.solo_requests += other.solo_requests;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.queued += other.queued;
-        self.queue_delay += other.queue_delay;
-        self.prefix_hits += other.prefix_hits;
-        self.prefix_reused_tokens += other.prefix_reused_tokens;
-    }
 }
 
 impl fmt::Display for ServingStats {
@@ -708,45 +638,48 @@ impl fmt::Display for ServingStats {
     }
 }
 
-/// Serving-plane fault and resilience counters for an episode: what the
-/// replica fleet broke (crashes, brownouts, overflow spills) and what the
-/// SLO tier did about it (failovers, hedges, shedding, deadline verdicts).
-///
-/// All zero under `ServingFaultProfile::none()` with replicas ≤ 1 and
-/// every resilience knob off — reports stay identical to builds without
-/// the serving fault plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServingFaultStats {
-    /// Replica crashes drawn while serving a placement.
-    pub crashes: u64,
-    /// Crashed placements re-dispatched to a healthy peer replica.
-    pub failovers: u64,
-    /// Placements that found every healthy replica past the overflow
-    /// threshold and paid a re-dispatch penalty.
-    pub overflows: u64,
-    /// Placements served by a browned-out (slowed) replica.
-    pub brownouts: u64,
-    /// Hedged duplicates that finished before the primary.
-    pub hedges_won: u64,
-    /// Hedged duplicates that lost the race (pure token/$ waste).
-    pub hedges_wasted: u64,
-    /// Requests rejected by admission control before reaching a model.
-    pub shed: u64,
-    /// Calls abandoned because their serving latency blew the deadline.
-    pub deadline_misses: u64,
-    /// Requests measured against the SLO deadline end-to-end.
-    pub slo_total: u64,
-    /// Of those, requests that met the deadline (queue + service).
-    pub slo_met: u64,
-    /// Extra service time paid to browned-out replicas.
-    pub slowdown_delay: SimDuration,
-    /// Partial service wasted on replicas that crashed mid-request.
-    pub failover_delay: SimDuration,
-    /// Prompt + completion tokens billed to losing *and* winning hedge
-    /// duplicates (the premium hedging pays for its p95 win).
-    pub hedge_tokens: u64,
-    /// API cost (USD) of those hedge duplicates.
-    pub hedge_cost_usd: f64,
+crate::record! {
+    counter;
+    /// Serving-plane fault and resilience counters for an episode: what the
+    /// replica fleet broke (crashes, brownouts, overflow spills) and what the
+    /// SLO tier did about it (failovers, hedges, shedding, deadline verdicts).
+    ///
+    /// All zero under `ServingFaultProfile::none()` with replicas ≤ 1 and
+    /// every resilience knob off — reports stay identical to builds without
+    /// the serving fault plane.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ServingFaultStats {
+        /// Replica crashes drawn while serving a placement.
+        pub crashes: u64,
+        /// Crashed placements re-dispatched to a healthy peer replica.
+        pub failovers: u64,
+        /// Placements that found every healthy replica past the overflow
+        /// threshold and paid a re-dispatch penalty.
+        pub overflows: u64,
+        /// Placements served by a browned-out (slowed) replica.
+        pub brownouts: u64,
+        /// Hedged duplicates that finished before the primary.
+        pub hedges_won: u64,
+        /// Hedged duplicates that lost the race (pure token/$ waste).
+        pub hedges_wasted: u64,
+        /// Requests rejected by admission control before reaching a model.
+        pub shed: u64,
+        /// Calls abandoned because their serving latency blew the deadline.
+        pub deadline_misses: u64,
+        /// Requests measured against the SLO deadline end-to-end.
+        pub slo_total: u64,
+        /// Of those, requests that met the deadline (queue + service).
+        pub slo_met: u64,
+        /// Extra service time paid to browned-out replicas.
+        pub slowdown_delay: SimDuration,
+        /// Partial service wasted on replicas that crashed mid-request.
+        pub failover_delay: SimDuration,
+        /// Prompt + completion tokens billed to losing *and* winning hedge
+        /// duplicates (the premium hedging pays for its p95 win).
+        pub hedge_tokens: u64,
+        /// API cost (USD) of those hedge duplicates.
+        pub hedge_cost_usd: f64,
+    }
 }
 
 impl ServingFaultStats {
@@ -775,24 +708,6 @@ impl ServingFaultStats {
     /// `ServingFaultProfile::none()` + resilience-off fast path).
     pub fn is_quiet(&self) -> bool {
         *self == ServingFaultStats::default()
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ServingFaultStats) {
-        self.crashes += other.crashes;
-        self.failovers += other.failovers;
-        self.overflows += other.overflows;
-        self.brownouts += other.brownouts;
-        self.hedges_won += other.hedges_won;
-        self.hedges_wasted += other.hedges_wasted;
-        self.shed += other.shed;
-        self.deadline_misses += other.deadline_misses;
-        self.slo_total += other.slo_total;
-        self.slo_met += other.slo_met;
-        self.slowdown_delay += other.slowdown_delay;
-        self.failover_delay += other.failover_delay;
-        self.hedge_tokens += other.hedge_tokens;
-        self.hedge_cost_usd += other.hedge_cost_usd;
     }
 }
 
@@ -823,36 +738,39 @@ impl fmt::Display for ServingFaultStats {
     }
 }
 
-/// Environment fault counters for an episode: what the embodied fault
-/// plane did to the sensor/actuator boundary.
-///
-/// Where [`ResilienceStats`] accounts faults of the LLM transport,
-/// [`AgentFaultStats`] faults of the agent processes, [`RepairStats`]
-/// faults of the response *content*, and [`ServingFaultStats`] faults of
-/// the serving fleet, these counters account faults of the *world
-/// interface itself* — entities vanishing from observations, phantom
-/// objects appearing, frozen sensor frames, misread landmarks, and
-/// actuators silently failing, slipping, or going down. All zero under
-/// `EnvFaultProfile::none()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EnvFaultStats {
-    /// Entities dropped from an agent's observation (perception dropout).
-    pub dropped_entities: u64,
-    /// Phantom entities injected into an agent's observation.
-    pub phantom_entities: u64,
-    /// Observations served from a frozen (stale) sensor frame.
-    pub stale_observations: u64,
-    /// Entities whose names were misread (consistently renamed in the
-    /// degraded view, so plans against them fail at actuation).
-    pub misread_entities: u64,
-    /// Actions that silently did nothing (reported failure, world intact).
-    pub silent_failures: u64,
-    /// Actions whose effect partially slipped (executed, progress lost).
-    pub partial_slips: u64,
-    /// Actuator downtime windows that opened.
-    pub actuator_downtimes: u64,
-    /// Agent-steps during which an actuator was down.
-    pub actuator_down_steps: u64,
+crate::record! {
+    counter;
+    /// Environment fault counters for an episode: what the embodied fault
+    /// plane did to the sensor/actuator boundary.
+    ///
+    /// Where [`ResilienceStats`] accounts faults of the LLM transport,
+    /// [`AgentFaultStats`] faults of the agent processes, [`RepairStats`]
+    /// faults of the response *content*, and [`ServingFaultStats`] faults of
+    /// the serving fleet, these counters account faults of the *world
+    /// interface itself* — entities vanishing from observations, phantom
+    /// objects appearing, frozen sensor frames, misread landmarks, and
+    /// actuators silently failing, slipping, or going down. All zero under
+    /// `EnvFaultProfile::none()`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EnvFaultStats {
+        /// Entities dropped from an agent's observation (perception dropout).
+        pub dropped_entities: u64,
+        /// Phantom entities injected into an agent's observation.
+        pub phantom_entities: u64,
+        /// Observations served from a frozen (stale) sensor frame.
+        pub stale_observations: u64,
+        /// Entities whose names were misread (consistently renamed in the
+        /// degraded view, so plans against them fail at actuation).
+        pub misread_entities: u64,
+        /// Actions that silently did nothing (reported failure, world intact).
+        pub silent_failures: u64,
+        /// Actions whose effect partially slipped (executed, progress lost).
+        pub partial_slips: u64,
+        /// Actuator downtime windows that opened.
+        pub actuator_downtimes: u64,
+        /// Agent-steps during which an actuator was down.
+        pub actuator_down_steps: u64,
+    }
 }
 
 impl EnvFaultStats {
@@ -880,18 +798,6 @@ impl EnvFaultStats {
     pub fn is_quiet(&self) -> bool {
         *self == EnvFaultStats::default()
     }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &EnvFaultStats) {
-        self.dropped_entities += other.dropped_entities;
-        self.phantom_entities += other.phantom_entities;
-        self.stale_observations += other.stale_observations;
-        self.misread_entities += other.misread_entities;
-        self.silent_failures += other.silent_failures;
-        self.partial_slips += other.partial_slips;
-        self.actuator_downtimes += other.actuator_downtimes;
-        self.actuator_down_steps += other.actuator_down_steps;
-    }
 }
 
 impl fmt::Display for EnvFaultStats {
@@ -913,37 +819,40 @@ impl fmt::Display for EnvFaultStats {
     }
 }
 
-/// Closed-loop recovery counters for an episode: what the agent-side
-/// recovery stack did about environment faults and what it paid.
-///
-/// Mirrors [`RepairStats`] one plane down: where the guardrail repairs
-/// *plans* before actuation, the recovery stack repairs the agent's
-/// *grounding* after the world misbehaves — forced re-observations when
-/// progress stalls, bounded action retries before replanning, and fresh
-/// observes when validation fails against a phantom entity. All zero under
-/// `RecoveryPolicy::Off`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryStats {
-    /// Forced re-observations issued by the stuck-detection watchdog.
-    pub watchdog_reobserves: u64,
-    /// Fresh observes triggered by validation failing against a phantom
-    /// entity (instead of a doomed re-prompt against the same bad view).
-    pub phantom_regrounds: u64,
-    /// Bounded action retries issued after a failed execution.
-    pub act_retries: u64,
-    /// Retried actions that succeeded on a retry attempt.
-    pub retries_recovered: u64,
-    /// Retry budgets exhausted, escalating the agent to a forced replan.
-    pub replan_escalations: u64,
-    /// Prompt + completion tokens spent on recovery inference (the replan
-    /// calls the escalations force).
-    pub recovery_tokens: u64,
-    /// API cost (USD) of that recovery inference.
-    pub recovery_cost_usd: f64,
-    /// Simulated latency of forced re-observations (encoder passes).
-    pub reobserve_latency: SimDuration,
-    /// Simulated latency of action retries (compute + actuation).
-    pub retry_latency: SimDuration,
+crate::record! {
+    counter;
+    /// Closed-loop recovery counters for an episode: what the agent-side
+    /// recovery stack did about environment faults and what it paid.
+    ///
+    /// Mirrors [`RepairStats`] one plane down: where the guardrail repairs
+    /// *plans* before actuation, the recovery stack repairs the agent's
+    /// *grounding* after the world misbehaves — forced re-observations when
+    /// progress stalls, bounded action retries before replanning, and fresh
+    /// observes when validation fails against a phantom entity. All zero under
+    /// `RecoveryPolicy::Off`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RecoveryStats {
+        /// Forced re-observations issued by the stuck-detection watchdog.
+        pub watchdog_reobserves: u64,
+        /// Fresh observes triggered by validation failing against a phantom
+        /// entity (instead of a doomed re-prompt against the same bad view).
+        pub phantom_regrounds: u64,
+        /// Bounded action retries issued after a failed execution.
+        pub act_retries: u64,
+        /// Retried actions that succeeded on a retry attempt.
+        pub retries_recovered: u64,
+        /// Retry budgets exhausted, escalating the agent to a forced replan.
+        pub replan_escalations: u64,
+        /// Prompt + completion tokens spent on recovery inference (the replan
+        /// calls the escalations force).
+        pub recovery_tokens: u64,
+        /// API cost (USD) of that recovery inference.
+        pub recovery_cost_usd: f64,
+        /// Simulated latency of forced re-observations (encoder passes).
+        pub reobserve_latency: SimDuration,
+        /// Simulated latency of action retries (compute + actuation).
+        pub retry_latency: SimDuration,
+    }
 }
 
 impl RecoveryStats {
@@ -966,19 +875,6 @@ impl RecoveryStats {
     /// fast path — reports stay identical to pre-recovery builds).
     pub fn is_quiet(&self) -> bool {
         *self == RecoveryStats::default()
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.watchdog_reobserves += other.watchdog_reobserves;
-        self.phantom_regrounds += other.phantom_regrounds;
-        self.act_retries += other.act_retries;
-        self.retries_recovered += other.retries_recovered;
-        self.replan_escalations += other.replan_escalations;
-        self.recovery_tokens += other.recovery_tokens;
-        self.recovery_cost_usd += other.recovery_cost_usd;
-        self.reobserve_latency += other.reobserve_latency;
-        self.retry_latency += other.retry_latency;
     }
 }
 

@@ -2,10 +2,9 @@
 
 use crate::module::{ModuleKind, Phase};
 use crate::time::{SimClock, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// One timed piece of module work on the simulated timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Which building block did the work.
     pub module: ModuleKind,

@@ -5,7 +5,6 @@
 //! All latency contributions in the suite are expressed as [`SimDuration`]s
 //! and accumulated on a [`SimClock`], with microsecond resolution.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(step.as_millis(), 12_800);
 /// assert_eq!(format!("{step}"), "12.80s");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -176,9 +173,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// A point on the simulated timeline, measured from episode start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
 
 impl SimInstant {

@@ -27,29 +27,8 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-echo "== parallel determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test parallel_determinism
-
-echo "== fault determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test fault_determinism
-
-echo "== guardrail determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test guardrail_determinism
-
-echo "== serving determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test serving_determinism
-
-echo "== SLO determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test slo_determinism
-
-echo "== embodied fault determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test embodied_fault_determinism
-
-echo "== fleet determinism (EMBODIED_JOBS=1) =="
-EMBODIED_JOBS=1 cargo test --release -q -p embodied-bench --test fleet_determinism
-
-echo "== fleet determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test fleet_determinism
+echo "== determinism table + fleet determinism (EMBODIED_JOBS=4) =="
+EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism --test fleet_determinism
 
 echo "== resilience integration tests =="
 cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
@@ -90,6 +69,10 @@ cargo test --release -q -p embodied-bench --test regression_scenarios --test sce
 
 echo "== bench_all --smoke (sequential vs parallel byte-identity) =="
 cargo run --release -q -p embodied-bench --bin bench_all -- --smoke
+
+echo "== perfbench build + self-tests (crate-API drift breaks the benchmark) =="
+cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$run_bench" -eq 1 ]; then
   echo "== bench smoke: criterion step_loop (quick mode) =="
