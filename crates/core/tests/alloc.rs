@@ -6,8 +6,9 @@
 //!
 //! 1. the reworked planning/memory/comms primitives — streaming memory
 //!    retrieval into a reused buffer, point entity queries, prompt assembly
-//!    via [`PromptWriter`], and inference with a borrowed-prompt request —
-//!    perform **zero** heap allocations at steady state (after warm-up);
+//!    via [`PromptWriter`], inference with a borrowed-prompt request, and
+//!    prompt token counting (plain and incremental) — perform **zero** heap
+//!    allocations at steady state (after warm-up);
 //! 2. a full episode's allocation rate is **flat**: later steps do not
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
 //!    or re-formats ever-growing history.
@@ -23,7 +24,7 @@ use embodied_agents::modules::{MemoryModule, RecordKind};
 use embodied_agents::prompt::PromptWriter;
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::TaskDifficulty;
-use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose};
+use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, PromptTokens, Purpose, Tokenizer};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
 /// each allocation (and reallocation — growth is an allocation for the
@@ -122,6 +123,47 @@ fn steady_state_planning_path_is_allocation_free() {
         after - before,
         0,
         "steady-state planning path allocated {} times over 100 iterations",
+        after - before
+    );
+}
+
+#[test]
+fn token_counting_is_allocation_free() {
+    let tok = Tokenizer::default();
+    let turns: Vec<String> = (0..48)
+        .map(|i| {
+            format!(
+                "[step {i}] observation: agent_0 sees kitchen_counter with apple_{i} and pan\n\
+                 [plan] decompose goal -> pick_up(apple) move_to(counter) place(pan)\n"
+            )
+        })
+        .collect();
+    let mut cache = PromptTokens::new();
+    let mut prompt = String::new();
+    // Warm-up: one full growth sizes the prompt buffer and the cache's text
+    // and checkpoint list for every later episode of the same length.
+    for turn in &turns {
+        prompt.push_str(turn);
+        tok.count_incremental(&mut cache, &prompt);
+    }
+
+    let before = allocs();
+    let mut total = 0;
+    for _ in 0..4 {
+        prompt.clear();
+        for turn in &turns {
+            prompt.push_str(turn);
+            let incremental = tok.count_incremental(&mut cache, &prompt);
+            assert_eq!(incremental, tok.count(&prompt));
+            total += incremental;
+        }
+    }
+    let after = allocs();
+    assert!(total > 0);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state token counting allocated {} times",
         after - before
     );
 }

@@ -7,6 +7,17 @@
 //! to token counts the way BPE vocabularies do in aggregate: whole short
 //! words are one token, long words split into ~4-character subwords, and
 //! punctuation/digits tokenize separately.
+//!
+//! Counting is a word-parallel ASCII kernel: each 64-byte block is
+//! classified eight bytes per `u64` step (SWAR) into letter/other/whitespace
+//! bit masks, and tokens = popcount(other) + popcount(letter-run starts) +
+//! a correction per run longer than seven letters. Blocks holding non-ASCII
+//! bytes fall back to decoding chars one at a time.
+
+/// Maximum characters a single subword token absorbs.
+const SUBWORD_LEN: usize = 4;
+/// Words up to this length count as a single token.
+const WHOLE_WORD_LEN: usize = 7;
 
 /// Deterministic subword tokenizer used by every simulated model.
 ///
@@ -18,73 +29,26 @@
 /// // Long words split into subwords, like real BPE vocabularies.
 /// assert!(tok.count("antidisestablishmentarianism") > 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tokenizer {
-    /// Maximum characters a single subword token absorbs.
-    subword_len: usize,
-    /// Words up to this length count as a single token.
-    whole_word_len: usize,
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        // Calibrated so English prose lands near the familiar
-        // ~4 characters/token (~0.75 tokens/word) ratio.
-        Tokenizer {
-            subword_len: 4,
-            whole_word_len: 7,
-        }
-    }
-}
+///
+/// Granularity is fixed and calibrated so English prose lands near the
+/// familiar ~4 characters/token (~0.75 tokens/word) ratio; construct it
+/// with `Tokenizer::default()`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// Creates a tokenizer with explicit granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either length is zero.
-    pub fn new(subword_len: usize, whole_word_len: usize) -> Self {
-        assert!(subword_len > 0, "subword_len must be positive");
-        assert!(whole_word_len > 0, "whole_word_len must be positive");
-        Tokenizer {
-            subword_len,
-            whole_word_len,
-        }
-    }
-
     /// Number of tokens in `text`.
     pub fn count(&self, text: &str) -> u64 {
-        let mut tokens = 0u64;
-        for word in text.split_whitespace() {
-            tokens += self.count_word(word);
-        }
-        tokens
+        scan(text, 0, 0, None)
     }
 
-    fn count_word(&self, word: &str) -> u64 {
-        // Split off punctuation and digit runs: "kitchen," → "kitchen" + ",".
-        let mut tokens = 0u64;
-        let mut alpha_run = 0usize;
-        for c in word.chars() {
-            if c.is_alphabetic() {
-                alpha_run += 1;
-            } else {
-                tokens += self.alpha_tokens(alpha_run);
-                alpha_run = 0;
-                tokens += 1; // each punctuation char / digit is its own token
-            }
-        }
-        tokens + self.alpha_tokens(alpha_run)
-    }
-
-    fn alpha_tokens(&self, len: usize) -> u64 {
-        if len == 0 {
-            0
-        } else if len <= self.whole_word_len {
-            1
-        } else {
-            len.div_ceil(self.subword_len) as u64
-        }
+    /// The per-char reference definition of [`Tokenizer::count`]: split on
+    /// whitespace and decode every word char by char. Returns exactly what
+    /// `count` returns, several times slower on ASCII text; it is the
+    /// specification the word-parallel kernel is tested against.
+    pub fn count_per_char(&self, text: &str) -> u64 {
+        text.split_whitespace().map(count_word).sum()
     }
 
     /// Truncates `text` to at most `max_tokens`, keeping the *tail* (the
@@ -100,7 +64,7 @@ impl Tokenizer {
         let mut kept = Vec::new();
         let mut budget = max_tokens;
         for word in words.iter().rev() {
-            let cost = self.count_word(word);
+            let cost = count_word(word);
             if cost > budget {
                 break;
             }
@@ -109,11 +73,6 @@ impl Tokenizer {
         }
         kept.reverse();
         kept.join(" ")
-    }
-
-    /// Estimated character budget for a token budget (for pre-sizing).
-    pub fn chars_for(&self, tokens: u64) -> usize {
-        (tokens as usize) * self.subword_len
     }
 
     /// Counts `text`, reusing work from the previous call recorded in
@@ -132,50 +91,241 @@ impl Tokenizer {
         let keep = cache.checkpoints.partition_point(|&(off, _)| off <= common);
         cache.checkpoints.truncate(keep);
         let (off, toks) = cache.checkpoints.last().copied().unwrap_or((0, 0));
-        let total = self.count_span(&text[off..], off, toks, &mut cache.checkpoints);
+        let total = scan(&text[off..], off, toks, Some(&mut cache.checkpoints));
         cache.text.clear();
         cache.text.push_str(text);
         cache.total = total;
         total
     }
+}
 
-    /// Counts `span` (= full text from byte `base`, already holding `start`
-    /// tokens), recording new seam checkpoints along the way.
-    fn count_span(
-        &self,
-        span: &str,
-        base: usize,
-        start: u64,
-        checkpoints: &mut Vec<(usize, u64)>,
-    ) -> u64 {
-        let mut tokens = start;
-        let mut word_start: Option<usize> = None;
-        for (i, c) in span.char_indices() {
-            if c.is_whitespace() {
-                if let Some(ws) = word_start.take() {
-                    tokens += self.count_word(&span[ws..i]);
-                    let off = base + i + c.len_utf8();
-                    let due = checkpoints
-                        .last()
-                        .is_none_or(|&(prev, _)| off - prev >= PromptTokens::STRIDE_BYTES);
-                    if due {
-                        checkpoints.push((off, tokens));
-                    }
-                }
-            } else if word_start.is_none() {
-                word_start = Some(i);
-            }
+/// Per-char token count of one whitespace-free word: each non-letter char
+/// is its own token ("kitchen," → "kitchen" + ","), and each letter run
+/// costs [`alpha_tokens`].
+fn count_word(word: &str) -> u64 {
+    let mut tokens = 0u64;
+    let mut alpha_run = 0usize;
+    for c in word.chars() {
+        if c.is_alphabetic() {
+            alpha_run += 1;
+        } else {
+            tokens += alpha_tokens(alpha_run);
+            alpha_run = 0;
+            tokens += 1;
         }
-        if let Some(ws) = word_start {
-            tokens += self.count_word(&span[ws..]);
-        }
-        tokens
+    }
+    tokens + alpha_tokens(alpha_run)
+}
+
+fn alpha_tokens(len: usize) -> u64 {
+    if len == 0 {
+        0
+    } else if len <= WHOLE_WORD_LEN {
+        1
+    } else {
+        len.div_ceil(SUBWORD_LEN) as u64
     }
 }
 
-/// Length of the longest common byte prefix of `a` and `b`.
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// Tokens a letter run of `len` costs beyond its first one.
+fn long_extra(len: usize) -> u64 {
+    if len > WHOLE_WORD_LEN {
+        (len.div_ceil(SUBWORD_LEN) - 1) as u64
+    } else {
+        0
+    }
+}
+
+/// Bytes classified per kernel step; one bit per byte in a `u64` mask.
+const BLOCK: usize = 64;
+/// `0x01` in every byte lane of a `u64`.
+const LANES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte lane.
+const HIGH: u64 = LANES * 0x80;
+/// A space (0x20, also the ASCII case bit) in every byte lane.
+const SPACES: u64 = LANES * 0x20;
+
+/// High bit set in each lane of `w` whose byte is `>= lo`. Lanes must be
+/// ASCII (`< 0x80`), so no lane carries into its neighbour.
+fn at_least(w: u64, lo: u8) -> u64 {
+    w.wrapping_add(LANES * u64::from(0x80 - lo)) & HIGH
+}
+
+/// Classifies eight ASCII bytes into `(letter, whitespace)` high-bit lane
+/// masks. Whitespace is 0x09..=0x0D plus 0x20, exactly the ASCII chars
+/// `char::is_whitespace` accepts (`u8::is_ascii_whitespace` omits 0x0B).
+fn classify(w: u64) -> (u64, u64) {
+    let folded = w | SPACES; // 'A'..='Z' → 'a'..='z'
+    let alpha = at_least(folded, b'a') & !at_least(folded, b'z' + 1);
+    let ctrl = at_least(w, 0x09) & !at_least(w, 0x0E);
+    let space = !at_least(w ^ SPACES, 1) & HIGH;
+    (alpha, ctrl | space)
+}
+
+/// Packs the high bit of each lane into 8 bits, lane `i` → bit `i`.
+fn lane_bits(m: u64) -> u64 {
+    (m >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Bit masks `(alpha, other, whitespace)` of a 64-byte block, bit `i` for
+/// byte `i`, or `None` if the block holds a non-ASCII byte.
+fn block_masks(block: &[u8; BLOCK]) -> Option<(u64, u64, u64)> {
+    let (mut any, mut alpha, mut ws) = (0, 0, 0);
+    for (i, word) in block.chunks_exact(8).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let (a, s) = classify(w);
+        any |= w;
+        alpha |= lane_bits(a) << (8 * i);
+        ws |= lane_bits(s) << (8 * i);
+    }
+    (any & HIGH == 0).then_some((alpha, !(alpha | ws), ws))
+}
+
+/// Running state of one scan: tokens so far, and the length of the letter
+/// run open at the scan position (its first token already counted).
+struct Scan {
+    tokens: u64,
+    run: usize,
+}
+
+impl Scan {
+    /// Absorbs one block of masks, bit `i` for byte `i`: `alpha` letters,
+    /// `other` one-token chars; bytes in neither are whitespace. Tokens are
+    /// popcount(other) + popcount(run starts) + [`long_extra`] per run end;
+    /// a run touching bit 63 stays open into the next block.
+    fn block(&mut self, mut alpha: u64, other: u64) {
+        self.tokens += u64::from(other.count_ones());
+        if self.run > 0 {
+            let carried = (!alpha).trailing_zeros();
+            if carried == 64 {
+                self.run += 64;
+                return;
+            }
+            self.tokens += long_extra(self.run + carried as usize);
+            alpha &= u64::MAX << carried;
+        }
+        self.tokens += u64::from((alpha & !(alpha << 1)).count_ones());
+        let open = (!alpha).leading_zeros();
+        self.run = open as usize;
+        let closed = alpha & !u64::MAX.checked_shl(64 - open).unwrap_or(0);
+        // Bit p of `long` marks the 8th-or-later letter of a run; only such
+        // runs (rare in prose) need their length measured.
+        let mut long = closed & (closed << 1);
+        long &= long << 2;
+        long &= long << 4;
+        while long != 0 {
+            let p = long.trailing_zeros();
+            let up = (!(closed >> p)).trailing_zeros();
+            let down = (!(closed << (63 - p))).leading_zeros();
+            self.tokens += long_extra((up + down - 1) as usize);
+            // Bit 63 of `closed` is clear, so the run ends below it.
+            long &= u64::MAX << (p + up);
+        }
+    }
+
+    /// Absorbs one char (the non-ASCII fallback; same rules as `count_word`).
+    fn char(&mut self, c: char) {
+        if c.is_alphabetic() {
+            if self.run == 0 {
+                self.tokens += 1;
+            }
+            self.run += 1;
+        } else {
+            self.tokens += long_extra(self.run) + u64::from(!c.is_whitespace());
+            self.run = 0;
+        }
+    }
+}
+
+/// Whether a checkpoint at `off` keeps the list's entries at least
+/// [`PromptTokens::STRIDE_BYTES`] apart.
+fn seam_due(checkpoints: &[(usize, u64)], off: usize) -> bool {
+    checkpoints
+        .last()
+        .is_none_or(|&(prev, _)| off - prev >= PromptTokens::STRIDE_BYTES)
+}
+
+/// Counts `text` (= full text from byte `base`, already holding `start`
+/// tokens), recording seam checkpoints into `checkpoints` if given. ASCII
+/// blocks go through the word-parallel kernel; a block holding a non-ASCII
+/// byte is decoded char by char up to the first char boundary past it.
+fn scan(
+    text: &str,
+    base: usize,
+    start: u64,
+    mut checkpoints: Option<&mut Vec<(usize, u64)>>,
+) -> u64 {
+    let bytes = text.as_bytes();
+    let mut st = Scan {
+        tokens: start,
+        run: 0,
+    };
+    // A short tail is padded with spaces, which close its last run exactly
+    // as the end of the text does.
+    let mut tail = [b' '; BLOCK];
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let len = (bytes.len() - pos).min(BLOCK);
+        let block: &[u8; BLOCK] = match bytes[pos..].first_chunk() {
+            Some(full) => full,
+            None => {
+                tail[..len].copy_from_slice(&bytes[pos..]);
+                &tail
+            }
+        };
+        let Some((alpha, other, ws)) = block_masks(block) else {
+            let end = pos + len;
+            for c in text[pos..].chars() {
+                st.char(c);
+                pos += c.len_utf8();
+                if let Some(list) = checkpoints.as_deref_mut() {
+                    if c.is_whitespace() && seam_due(list, base + pos) {
+                        list.push((base + pos, st.tokens));
+                    }
+                }
+                if pos >= end {
+                    break;
+                }
+            }
+            continue;
+        };
+        // Candidate checkpoint: just after the block's last whitespace.
+        let cut = (ws & (u64::MAX >> (BLOCK - len))).leading_zeros();
+        let seam = base + pos + BLOCK - cut as usize;
+        match checkpoints.as_deref_mut() {
+            // Absorb the block in two halves split at the seam; no run is
+            // open there, so the first half's total is the checkpoint.
+            Some(list) if cut < 64 && seam_due(list, seam) => {
+                let low = u64::MAX >> cut;
+                st.block(alpha & low, other & low);
+                list.push((seam, st.tokens));
+                st.block(alpha & !low, other & !low);
+            }
+            _ => st.block(alpha, other),
+        }
+        pos += len;
+    }
+    st.tokens + long_extra(st.run)
+}
+
+/// Length of the longest common byte prefix of `a` and `b`, compared 16
+/// bytes at a time.
+pub(crate) fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    const WIDE: usize = 16;
+    let mut i = 0;
+    for (x, y) in a.chunks_exact(WIDE).zip(b.chunks_exact(WIDE)) {
+        let x = u128::from_le_bytes(x.try_into().expect("16-byte chunk"));
+        let y = u128::from_le_bytes(y.try_into().expect("16-byte chunk"));
+        if x != y {
+            return i + (x ^ y).trailing_zeros() as usize / 8;
+        }
+        i += WIDE;
+    }
+    i + a[i..]
+        .iter()
+        .zip(&b[i..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Incremental token-count accumulator for one growing prompt stream.
@@ -310,12 +460,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "subword_len")]
-    fn zero_subword_rejected() {
-        let _ = Tokenizer::new(0, 5);
-    }
-
-    #[test]
     fn incremental_matches_full_on_append_sequence() {
         let tok = Tokenizer::default();
         let mut cache = PromptTokens::new();
@@ -377,6 +521,111 @@ mod tests {
                 tok.count(&text[..upto]),
                 "prefix of {upto} bytes"
             );
+        }
+    }
+
+    /// Asserts `count`, a cold `count_incremental` and one resumed from a
+    /// cache warmed on `warm` all equal the per-char reference on `text`,
+    /// and that every recorded checkpoint is a seam inside `text` holding
+    /// the reference count of the prefix before it.
+    fn assert_kernel_matches_reference(text: &str, warm: &str) {
+        let tok = Tokenizer::default();
+        let want = tok.count_per_char(text);
+        assert_eq!(tok.count(text), want, "count on {text:?}");
+        let mut cold = PromptTokens::new();
+        assert_eq!(
+            tok.count_incremental(&mut cold, text),
+            want,
+            "cold {text:?}"
+        );
+        let mut warmed = PromptTokens::new();
+        tok.count_incremental(&mut warmed, warm);
+        assert_eq!(
+            tok.count_incremental(&mut warmed, text),
+            want,
+            "warm {text:?}"
+        );
+        for cache in [&cold, &warmed] {
+            for &(off, toks) in &cache.checkpoints {
+                let seam = text.get(..off).and_then(|t| t.chars().next_back());
+                assert!(
+                    seam.is_some_and(char::is_whitespace),
+                    "checkpoint {off} of {text:?} is not just after whitespace"
+                );
+                assert_eq!(toks, tok.count_per_char(&text[..off]), "checkpoint {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_ascii_byte_at_every_block_offset_matches_reference() {
+        // Three blocks' worth, so every offset of a full block and of the
+        // space-padded tail is hit, against prose and all-letter contexts.
+        let prose = "the quick brown fox jumps over a lazy dog, again! ".repeat(4);
+        let letters = "abcdefghijklmnopqrstuvwxyz".repeat(8);
+        for background in [&prose[..150], &letters[..150]] {
+            for byte in 0u8..0x80 {
+                for at in 0..background.len() {
+                    let mut bytes = background.as_bytes().to_vec();
+                    bytes[at] = byte;
+                    let text = String::from_utf8(bytes).expect("ASCII");
+                    assert_kernel_matches_reference(&text, background);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn letter_runs_straddling_block_edges_match_reference() {
+        for len in 1..=200 {
+            for lead in [0, 1, 7, 56, 57, 63, 64, 65, 100, 127, 128] {
+                let text = format!("{}{} next, word", ".".repeat(lead), "q".repeat(len));
+                assert_kernel_matches_reference(&text, &text[..lead]);
+                // Run ending exactly at the end of the text.
+                let text = format!("{}{}", " ".repeat(lead), "Q".repeat(len));
+                assert_kernel_matches_reference(&text, "");
+            }
+        }
+    }
+
+    #[test]
+    fn every_ascii_whitespace_separates_words() {
+        // 0x0B is whitespace for `char::is_whitespace` but not for
+        // `u8::is_ascii_whitespace`; as a letter "abcd?efgh" would be one
+        // 9-letter run (3 tokens), as other char 3 tokens, as a separator 2.
+        let tok = Tokenizer::default();
+        for sep in ['\t', '\n', '\u{0B}', '\u{0C}', '\r', ' '] {
+            let short = format!("abcd{sep}efgh");
+            assert_eq!(tok.count(&short), 2, "separator {sep:?}");
+            let long = format!("{}{sep}{}", "kitchenette ".repeat(6), "countertops");
+            assert_eq!(tok.count(&long), tok.count_per_char(&long), "{sep:?}");
+            assert_eq!(tok.count(&long), 6 * 3 + 3, "separator {sep:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_text_matches_reference() {
+        let text = "nbsp\u{A0}separates nel\u{85}too ideographic\u{3000}space, \
+                    émigré naïveté 🤖🍎 extraordinarily\u{A0}long\u{3000}words "
+            .repeat(5);
+        let boundaries: Vec<usize> = (0..=text.len())
+            .filter(|&b| text.is_char_boundary(b))
+            .collect();
+        for (i, &cut) in boundaries.iter().enumerate() {
+            assert_kernel_matches_reference(&text[..cut], &text[..boundaries[i / 2]]);
+        }
+    }
+
+    #[test]
+    fn common_prefix_len_stops_at_first_difference() {
+        let a = b"0123456789abcdef0123456789abcdefXYZ";
+        for cut in 0..=a.len() {
+            let mut b = a.to_vec();
+            if cut < b.len() {
+                b[cut] ^= 1;
+            }
+            assert_eq!(common_prefix_len(a, &b), cut);
+            assert_eq!(common_prefix_len(&a[..cut], a), cut);
         }
     }
 

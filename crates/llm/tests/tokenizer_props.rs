@@ -1,6 +1,8 @@
-//! Property tests for the incremental prompt-token accumulator and the
-//! memoized BPE counter: under arbitrary multi-byte append/rewrite
-//! sequences, cached counts must equal full recounts exactly.
+//! Property tests for the word-parallel token counter, the incremental
+//! prompt-token accumulator and the memoized BPE counter. Every count —
+//! plain, incremental or from checkpoints — must equal the per-char
+//! reference (`Tokenizer::count_per_char`) exactly, on ASCII text (the
+//! kernel path) and on mixed multi-byte text (the fallback path).
 
 use embodied_llm::{BpeTokenizer, PromptTokens, Tokenizer};
 use proptest::collection;
@@ -21,6 +23,28 @@ fn segment() -> BoxedStrategy<String> {
         Just("re-plan; retry(2) -> pick_up(apple_🍎) ".to_owned()),
         Just("0123456789 ".to_owned()),
         Just("ωμέγα και ελληνικά ".to_owned()),
+    ]
+    .boxed()
+}
+
+/// ASCII-only text weighted toward what stresses the kernel: letter runs
+/// up to 3 blocks long, every ASCII whitespace byte (0x0B included),
+/// punctuation, digits and arbitrary ASCII bytes including controls.
+const ASCII_TEXT: &str =
+    "([a-zA-Z]{1,12}|[a-z]{60,150}|[\t-\r ]{1,3}|[0-9_.,;:()-]{1,2}|[\u{0}-\u{7f}]{1,4}){0,40}";
+
+/// Fragments around the non-ASCII whitespace and letters the fallback must
+/// agree on: U+00A0, U+0085 and U+3000 separate words, accented and Greek
+/// letters extend runs, emoji are one-token chars.
+fn mixed_segment() -> BoxedStrategy<String> {
+    prop_oneof![
+        Just("no\u{A0}break\u{A0}space ".to_owned()),
+        Just("next\u{85}line ".to_owned()),
+        Just("ideographic\u{3000}spaceseparated\u{3000}words".to_owned()),
+        Just("🍎🤖 emoji-laden👍text ".to_owned()),
+        Just("émigré naïveté extraordinairement ".to_owned()),
+        Just("ωμέγαωμέγαωμέγα ".to_owned()),
+        ASCII_TEXT.boxed(),
     ]
     .boxed()
 }
@@ -50,7 +74,7 @@ proptest! {
             prompt.push_str(seg);
             prop_assert_eq!(
                 tok.count_incremental(&mut cache, &prompt),
-                tok.count(&prompt),
+                tok.count_per_char(&prompt),
                 "append diverged on {:?}",
                 prompt
             );
@@ -78,7 +102,7 @@ proptest! {
             }
             prop_assert_eq!(
                 tok.count_incremental(&mut cache, &prompt),
-                tok.count(&prompt),
+                tok.count_per_char(&prompt),
                 "edit op {} diverged on {:?}",
                 op,
                 prompt
@@ -100,11 +124,80 @@ proptest! {
         let upto = floor_char(&prompt, (prompt.len() as f64 * cut) as usize);
         prop_assert_eq!(
             cache.count_prefix(&tok, upto),
-            tok.count(&prompt[..upto]),
+            tok.count_per_char(&prompt[..upto]),
             "prefix count diverged at byte {} of {:?}",
             upto,
             prompt
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The kernel path: on ASCII text the plain count and a cold
+    /// incremental count equal the per-char reference.
+    #[test]
+    fn ascii_count_equals_reference(text in ASCII_TEXT) {
+        let tok = Tokenizer::default();
+        let want = tok.count_per_char(&text);
+        prop_assert_eq!(tok.count(&text), want, "count diverged on {:?}", text);
+        let mut cache = PromptTokens::new();
+        prop_assert_eq!(tok.count_incremental(&mut cache, &text), want);
+    }
+
+    /// ASCII prompts grown by appends: every incremental count equals the
+    /// reference, and `count_prefix` agrees with it at every char boundary.
+    #[test]
+    fn ascii_incremental_and_prefix_equal_reference(
+        segments in collection::vec(ASCII_TEXT, 1..5),
+    ) {
+        let tok = Tokenizer::default();
+        let mut cache = PromptTokens::new();
+        let mut prompt = String::new();
+        for seg in &segments {
+            prompt.push_str(seg);
+            prop_assert_eq!(
+                tok.count_incremental(&mut cache, &prompt),
+                tok.count_per_char(&prompt),
+                "append diverged on {:?}",
+                prompt
+            );
+        }
+        for upto in 0..=prompt.len() {
+            prop_assert_eq!(
+                cache.count_prefix(&tok, upto),
+                tok.count_per_char(&prompt[..upto]),
+                "prefix count diverged at byte {}",
+                upto
+            );
+        }
+    }
+
+    /// Mixed ASCII / non-ASCII prompts: the fallback and the kernel hand
+    /// state to each other mid-run and mid-word, and still equal the
+    /// reference on every append and at every char boundary.
+    #[test]
+    fn mixed_text_equals_reference(
+        segments in collection::vec(mixed_segment(), 1..8),
+    ) {
+        let tok = Tokenizer::default();
+        let mut cache = PromptTokens::new();
+        let mut prompt = String::new();
+        for seg in &segments {
+            prompt.push_str(seg);
+            let want = tok.count_per_char(&prompt);
+            prop_assert_eq!(tok.count(&prompt), want, "count diverged on {:?}", prompt);
+            prop_assert_eq!(tok.count_incremental(&mut cache, &prompt), want);
+        }
+        for upto in (0..=prompt.len()).filter(|&b| prompt.is_char_boundary(b)) {
+            prop_assert_eq!(
+                cache.count_prefix(&tok, upto),
+                tok.count_per_char(&prompt[..upto]),
+                "prefix count diverged at byte {}",
+                upto
+            );
+        }
     }
 }
 
