@@ -31,8 +31,12 @@ fn bench_memory_summarize(c: &mut Criterion) {
     let mut group = c.benchmark_group("memory_summarize");
     for n in [10usize, 100, 1000] {
         let mem = filled_memory(n);
+        let mut buf = String::new();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(mem.retrieve()))
+            b.iter(|| {
+                buf.clear();
+                black_box(mem.retrieve_write(&mut buf))
+            })
         });
     }
     group.finish();

@@ -125,8 +125,12 @@ fn bench_memory_retrieval(c: &mut Criterion) {
                 vec![format!("entity_{i}")],
             );
         }
+        let mut buf = String::new();
         group.bench_with_input(BenchmarkId::from_parameter(records), &records, |b, _| {
-            b.iter(|| memory.retrieve())
+            b.iter(|| {
+                buf.clear();
+                memory.retrieve_write(&mut buf)
+            })
         });
     }
     group.finish();

@@ -1,14 +1,14 @@
-//! Tokenizer hot-path benchmarks: full recount per step vs. the
-//! incremental accumulator over a growing Fig. 6-shaped prompt, and the
-//! memoized BPE word counter. With `count_incremental`, per-step cost
-//! tracks the appended text (total grows linearly in steps); a full
-//! recount per step is quadratic in the conversation length. The prompt
-//! is benched twice: all-ASCII (the word-parallel kernel, as the suite's
-//! prompts are) and with one emoji per turn (its blocks take the per-char
-//! fallback).
+//! Tokenizer hot-path benchmarks: full recount per step vs. counting each
+//! appended turn once over a growing Fig. 6-shaped prompt, and the memoized
+//! BPE word counter. Counting each turn where it is written (as the prompt
+//! writers and the memory window do) costs the appended text per step, so
+//! the total grows linearly in steps; a full recount per step is quadratic
+//! in the conversation length. The prompt is benched twice: all-ASCII (the
+//! word-parallel kernel, as the suite's prompts are) and with one emoji per
+//! turn (its blocks take the per-char fallback).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use embodied_llm::{BpeTokenizer, PromptTokens, Tokenizer};
+use embodied_llm::{BpeTokenizer, Tokenizer};
 
 /// One Fig. 6-style dialogue turn: observation, memory recall, plan.
 fn turn(i: usize, item: &str) -> String {
@@ -48,19 +48,19 @@ fn bench_growth(c: &mut Criterion, tok: &Tokenizer, text: &str, item: &str, step
         },
     );
 
-    // Incremental: resume from the deepest checkpoint in the shared
-    // prefix; per-step cost tracks the appended turn, not the prompt.
+    // Count each appended turn once and keep the running total: turns
+    // end in `\n`, so counts add exactly; per-step cost tracks the turn.
     group.bench_with_input(
-        BenchmarkId::from_parameter("incremental"),
+        BenchmarkId::from_parameter("count_appended"),
         &steps,
         |b, &steps| {
             b.iter(|| {
-                let mut cache = PromptTokens::new();
                 let mut prompt = String::new();
                 let mut total = 0;
                 for i in 0..steps {
+                    let start = prompt.len();
                     prompt.push_str(&turn(i, item));
-                    total = tok.count_incremental(&mut cache, black_box(&prompt));
+                    total += tok.count(black_box(&prompt[start..]));
                 }
                 total
             })

@@ -6,7 +6,7 @@ use crate::modules::{
     CommunicationModule, ExecutionModule, MemoryModule, PlanningModule, ReflectionModule,
     SensingModule, WorldMap,
 };
-use crate::prompt::system_preamble;
+use crate::prompt::{system_preamble, CountedText};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineBuilder, InferenceService, LlmEngine, TenantOwner};
 use std::collections::{HashMap, HashSet};
@@ -38,8 +38,8 @@ pub struct ModularAgent {
     /// Accumulated spatial world model (paper §II-A sensing: "a map of
     /// spatial layout, moving entities, obstacles, and resource locations").
     pub map: WorldMap,
-    /// System preamble used in this agent's prompts.
-    pub preamble: String,
+    /// System preamble used in this agent's prompts, counted once.
+    pub preamble: CountedText,
     /// Last failed subgoal and its outcome, until reflection clears it —
     /// feeds the planner's perseveration bias and the reflection prompt.
     pub last_failure: Option<(Subgoal, embodied_env::ExecOutcome)>,
@@ -50,8 +50,9 @@ pub struct ModularAgent {
     /// Entity set at the time of this agent's last broadcast (computes the
     /// knowledge delta carried by the next message).
     pub last_broadcast: HashSet<String>,
-    /// Messages received this round, verbatim, for the dialogue section.
-    pub inbox: Vec<String>,
+    /// Messages received this round, verbatim and counted, for the
+    /// dialogue section.
+    pub inbox: Vec<CountedText>,
     /// Consecutive steps without progress whose failure reflection has not
     /// resolved — drives compounding planner confusion.
     pub failure_streak: usize,
@@ -68,10 +69,10 @@ pub struct ModularAgent {
     pub suspected: HashSet<usize>,
     /// Reusable render buffer for the planner's memory/map context section:
     /// allocated once per episode, rewritten in place every step.
-    pub memory_buf: String,
+    pub memory_buf: CountedText,
     /// Reusable render buffer for the newline-joined inbox (the dialogue
     /// section of communication and planning prompts).
-    pub dialogue_buf: String,
+    pub dialogue_buf: CountedText,
     /// The shared inference service this agent's engines are registered
     /// with (per-tenant ledger for usage/resilience rollups).
     service: InferenceService,
@@ -160,7 +161,7 @@ impl ModularAgent {
             reflection,
             execution,
             map: WorldMap::new(),
-            preamble: system_preamble(workload, "planning"),
+            preamble: CountedText::new(system_preamble(workload, "planning")),
             config,
             last_failure: None,
             plan_budget: 0,
@@ -171,23 +172,27 @@ impl ModularAgent {
             last_plan: None,
             peer_last_heard: Vec::new(),
             suspected: HashSet::new(),
-            memory_buf: String::new(),
-            dialogue_buf: String::new(),
+            memory_buf: CountedText::default(),
+            dialogue_buf: CountedText::default(),
             service: service.clone(),
         }
     }
 
     /// Renders the inbox into [`Self::dialogue_buf`] (newline-joined, same
     /// bytes as `inbox.join("\n")`) reusing the buffer's capacity across
-    /// steps, and returns it.
-    pub fn render_dialogue(&mut self) -> &str {
-        self.dialogue_buf.clear();
-        for (k, msg) in self.inbox.iter().enumerate() {
-            if k > 0 {
-                self.dialogue_buf.push('\n');
+    /// steps, and returns it. Its count is the sum of the messages' counts:
+    /// they meet at `\n`.
+    pub fn render_dialogue(&mut self) -> &CountedText {
+        let inbox = &self.inbox;
+        self.dialogue_buf.rewrite(|out| {
+            for (k, msg) in inbox.iter().enumerate() {
+                if k > 0 {
+                    out.push('\n');
+                }
+                out.push_str(msg.as_str());
             }
-            self.dialogue_buf.push_str(msg);
-        }
+            (inbox.iter().map(CountedText::tokens).sum(), ())
+        });
         &self.dialogue_buf
     }
 

@@ -118,7 +118,7 @@ impl EndToEndSystem {
                 response.latency,
             );
             by_purpose.record(
-                &response.purpose.to_string(),
+                response.purpose.as_str(),
                 response.latency,
                 response.prompt_tokens,
                 response.output_tokens,
@@ -182,7 +182,7 @@ impl EndToEndSystem {
         };
         let mut by_phase = PurposeLedger::default();
         for span in self.trace.spans() {
-            by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
+            by_phase.record(span.phase.as_str(), span.duration, 0, 0);
         }
         EpisodeReport {
             workload: format!("VLA on {}", self.env.name()),

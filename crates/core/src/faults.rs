@@ -13,6 +13,7 @@
 //! and a `none()` profile performs **zero** draws, so fault-free runs stay
 //! byte-identical to builds that predate the subsystem.
 
+use crate::prompt::CountedText;
 use embodied_profiler::{check_rate, AgentFaultStats, ChannelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,7 +355,7 @@ pub(crate) struct DelayedMessage {
     /// Recipient agent id.
     pub to: usize,
     /// Message text (already garbled if the delivery was also corrupted).
-    pub text: String,
+    pub text: CountedText,
     /// Entity payload (empty if corrupted).
     pub entities: Vec<String>,
     /// Copies to deliver (2 if the delivery was also duplicated).
@@ -682,21 +683,21 @@ mod tests {
         chan.delayed.push(DelayedMessage {
             deliver_at: 3,
             to: 1,
-            text: "late".into(),
+            text: CountedText::new("late"),
             entities: vec![],
             copies: 1,
         });
         chan.delayed.push(DelayedMessage {
             deliver_at: 5,
             to: 0,
-            text: "later".into(),
+            text: CountedText::new("later"),
             entities: vec![],
             copies: 1,
         });
         assert!(chan.due_messages(2).is_empty());
         let due = chan.due_messages(3);
         assert_eq!(due.len(), 1);
-        assert_eq!(due[0].text, "late");
+        assert_eq!(due[0].text.as_str(), "late");
         assert_eq!(chan.delayed.len(), 1);
         let due = chan.due_messages(9);
         assert_eq!(due.len(), 1);

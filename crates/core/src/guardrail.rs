@@ -27,7 +27,7 @@
 //! [`Phase::Validate`]: embodied_profiler::Phase::Validate
 //! [`Phase::Repair`]: embodied_profiler::Phase::Repair
 
-use crate::prompt::PromptBuilder;
+use crate::prompt::{CountedText, PromptWriter};
 use embodied_env::{AffordanceSet, Subgoal};
 use embodied_llm::{
     floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Purpose, SemanticFaultKind,
@@ -387,7 +387,7 @@ pub fn guard_decision(
     intended: &Subgoal,
     flaw: Option<SemanticFlaw>,
     affordances: &AffordanceSet,
-    preamble: &str,
+    preamble: &CountedText,
     goal: &str,
     difficulty: f64,
     opts: InferenceOpts,
@@ -437,11 +437,12 @@ pub fn guard_decision(
         }
         RepairPolicy::Reprompt { max_attempts } => {
             let mut accepted = None;
+            let mut prompt = String::new();
             for _ in 0..max_attempts {
                 stats.repair_attempts += 1;
-                let prompt = repair_prompt(preamble, goal, &error, affordances);
+                let tokens = repair_prompt(&mut prompt, preamble, goal, &error, affordances);
                 let result = engine.infer(
-                    LlmRequest::new(Purpose::Planning, &prompt, 40)
+                    LlmRequest::counted(Purpose::Planning, &prompt, tokens, 40)
                         .with_difficulty(difficulty)
                         .with_opts(opts),
                 );
@@ -505,24 +506,26 @@ fn note_rejection(stats: &mut RepairStats, error: &ValidationError) {
     }
 }
 
-/// The repair re-prompt: the validator's structured error feedback plus the
-/// full afforded menu, so the model can ground its retry.
+/// Writes the repair re-prompt into `out` — the validator's structured
+/// error feedback plus the full afforded menu, so the model can ground its
+/// retry — and returns its token count.
 fn repair_prompt(
-    preamble: &str,
+    out: &mut String,
+    preamble: &CountedText,
     goal: &str,
     error: &ValidationError,
     affordances: &AffordanceSet,
-) -> String {
-    let mut b = PromptBuilder::new(preamble);
-    b.push("task goal", goal)
-        .push("validator error", &error.feedback())
+) -> u64 {
+    PromptWriter::new(out, preamble)
+        .push("task goal", goal)
+        .push("validator error", error.feedback())
         .push_candidates(affordances.candidates())
         .push(
             "instruction",
             "Your previous decision was rejected. Re-emit exactly one action \
              chosen from the available actions above.",
-        );
-    b.build()
+        )
+        .tokens()
 }
 
 #[cfg(test)]
@@ -632,7 +635,7 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::Malformed, 3)),
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),
@@ -657,7 +660,7 @@ mod tests {
             &intended,
             Some(f),
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),
@@ -674,7 +677,7 @@ mod tests {
             &intended,
             Some(f),
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),
@@ -699,7 +702,7 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::InvalidAction, 5)),
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),
@@ -737,7 +740,7 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::Malformed, 9)),
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),
@@ -763,7 +766,7 @@ mod tests {
             &intended,
             None,
             &aff,
-            "sys",
+            &CountedText::new("sys"),
             "goal",
             0.5,
             InferenceOpts::default(),

@@ -6,7 +6,7 @@
 //! paper's "only 20% of pre-generated messages lead to actual
 //! communication" finding (§V-D).
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{CountedText, PromptWriter};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
 /// A message produced by one agent for broadcast.
@@ -14,8 +14,9 @@ use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmRespons
 pub struct OutgoingMessage {
     /// Sender agent index.
     pub from: usize,
-    /// Message text (concatenated into receivers' dialogue memory).
-    pub text: String,
+    /// Message text (concatenated into receivers' dialogue memory),
+    /// counted once for every recipient.
+    pub text: CountedText,
     /// Entity knowledge the message carries.
     pub entities: Vec<String>,
     /// The LLM response that generated it.
@@ -54,9 +55,9 @@ impl CommunicationModule {
 
     /// Generates one outgoing message.
     ///
-    /// `status` is the sender's own state line; `knowledge_delta` is what
-    /// the sender has learned since it last broadcast (possibly empty — the
-    /// redundant-message case).
+    /// `status` is the sender's own state line; `dialogue_so_far` arrives
+    /// counted; `knowledge_delta` is what the sender has learned since it
+    /// last broadcast (possibly empty — the redundant-message case).
     ///
     /// # Errors
     ///
@@ -65,25 +66,26 @@ impl CommunicationModule {
     pub fn generate(
         &mut self,
         from: usize,
-        preamble: &str,
+        preamble: &CountedText,
         goal: &str,
         status: &str,
-        dialogue_so_far: &str,
+        dialogue_so_far: &CountedText,
         knowledge_delta: &[String],
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push("task goal", goal)
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push("task goal", goal)
             .push("your status", status)
-            .push("dialogue so far", dialogue_so_far)
+            .push_counted("dialogue so far", dialogue_so_far)
             .push(
                 "instruction",
                 "Compose a short message to your teammates sharing anything \
                  they need to coordinate effectively.",
-            );
+            )
+            .tokens();
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Communication, self.prompt_buf.as_str(), 60)
+            LlmRequest::counted(Purpose::Communication, &self.prompt_buf, tokens, 60)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -98,7 +100,7 @@ impl CommunicationModule {
         };
         Ok(OutgoingMessage {
             from,
-            text,
+            text: CountedText::new(text),
             entities: knowledge_delta.to_vec(),
             response,
         })
@@ -127,16 +129,16 @@ mod tests {
         let msg = m
             .generate(
                 1,
-                "you are a communicator",
+                &CountedText::new("you are a communicator"),
                 "deliver objects",
                 "in room_2, hands free",
-                "",
+                &CountedText::default(),
                 &["object_3".into()],
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
-        assert!(msg.text.contains("object_3"));
+        assert!(msg.text.as_str().contains("object_3"));
         assert_eq!(msg.entities, vec!["object_3".to_owned()]);
         assert_eq!(msg.from, 1);
     }
@@ -147,30 +149,30 @@ mod tests {
         let msg = m
             .generate(
                 0,
-                "you are a communicator",
+                &CountedText::new("you are a communicator"),
                 "deliver objects",
                 "in room_0",
-                "agent 1: hello",
+                &CountedText::new("agent 1: hello"),
                 &[],
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
         assert!(msg.entities.is_empty());
-        assert!(msg.text.contains("current plan"));
+        assert!(msg.text.as_str().contains("current plan"));
     }
 
     #[test]
     fn generation_costs_latency_and_tokens() {
         let mut m = module();
-        let preamble = crate::prompt::system_preamble("CoELA", "communication");
+        let preamble = CountedText::new(crate::prompt::system_preamble("CoELA", "communication"));
         let msg = m
             .generate(
                 0,
                 &preamble,
                 "deliver objects",
                 "in room_0",
-                "",
+                &CountedText::default(),
                 &[],
                 0.4,
                 InferenceOpts::default(),

@@ -3,6 +3,8 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
+use crate::prompt::CountedText;
+use embodied_llm::Tokenizer;
 use embodied_profiler::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -19,35 +21,25 @@ pub enum RecordKind {
     Dialogue,
 }
 
-/// One memory entry.
+/// One memory entry. Its prompt text lives in the module's line buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRecord {
     /// Step the record was written.
     pub step: usize,
     /// Record category.
     pub kind: RecordKind,
-    /// Prompt-ready text.
-    pub text: String,
     /// Entity names this record carries knowledge about.
     pub entities: Vec<String>,
+    /// Where the record's `step N: text\n` line starts in the line buffer,
+    /// as an offset from the first byte ever written (it stays valid when
+    /// older lines are trimmed off the front). The line ends where the next
+    /// record's starts.
+    line_start: usize,
+    /// Running token total of the line buffer before this line.
+    tokens_before: u64,
 }
 
-/// Result of a retrieval pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Retrieval {
-    /// Prompt text of the retrieved context.
-    pub text: String,
-    /// Time the lookup took (grows with stored records — Fig. 5's
-    /// "longer information retrieval times").
-    pub latency: SimDuration,
-    /// Quality penalty from memory inconsistency (0 unless the retained
-    /// window is excessively large, per Fig. 5's full-history regime).
-    pub inconsistency_penalty: f64,
-    /// Records scanned by the lookup.
-    pub records_scanned: usize,
-}
-
-/// Everything a retrieval pass measures except the text, which
+/// What a retrieval pass measures. The text itself
 /// [`MemoryModule::retrieve_write`] streams into a caller-owned buffer so
 /// the steady-state step loop retrieves without heap allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,9 +50,19 @@ pub struct RetrievalStats {
     pub inconsistency_penalty: f64,
     /// Records scanned by the lookup.
     pub records_scanned: usize,
+    /// Tokens of the text appended to the caller's buffer.
+    pub tokens: u64,
 }
 
 /// The memory module.
+///
+/// Each record is rendered once, at store time, into one line buffer
+/// (`step N: text\n` per record, oldest first) and tokenized once there;
+/// the record keeps its line's offset and the buffer's running token
+/// total. The retained window is a suffix of the records, so a flat
+/// retrieval is one contiguous slice of the buffer and its token count is a
+/// difference of running totals. Lines that fell out of the window are
+/// trimmed off the front once they make up half of the buffer.
 #[derive(Debug, Clone)]
 pub struct MemoryModule {
     enabled: bool,
@@ -70,6 +72,12 @@ pub struct MemoryModule {
     retrieval_mode: RetrievalMode,
     landmarks: HashSet<String>,
     records: Vec<MemoryRecord>,
+    /// The records' rendered lines, from the oldest untrimmed one on.
+    lines: String,
+    /// Bytes trimmed off the front of `lines` so far.
+    trimmed: usize,
+    /// Running token total of every line ever written.
+    tokens: u64,
     long_term: HashSet<String>,
     /// The long-term store again, kept sorted so retrieval renders the
     /// deterministic "known entities" line without collecting and sorting
@@ -145,6 +153,9 @@ impl MemoryModule {
             retrieval_mode: RetrievalMode::default(),
             landmarks: landmarks.into_iter().collect(),
             records: Vec::new(),
+            lines: String::new(),
+            trimmed: 0,
+            tokens: 0,
             long_term: HashSet::new(),
             long_term_sorted: Vec::new(),
             last_seen: HashMap::new(),
@@ -165,16 +176,6 @@ impl MemoryModule {
         self.enabled
     }
 
-    /// Total records stored so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records are stored.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Marks the beginning of an environment step.
     pub fn begin_step(&mut self, step: usize) {
         self.current_step = step;
@@ -188,7 +189,19 @@ impl MemoryModule {
     /// a 1-step working buffer — disabling the memory *module* removes
     /// storage and retrieval, not the agent's within-context awareness of
     /// the immediately preceding turn.
-    pub fn store(&mut self, kind: RecordKind, text: impl Into<String>, entities: Vec<String>) {
+    pub fn store(&mut self, kind: RecordKind, text: impl AsRef<str>, entities: Vec<String>) {
+        let text = text.as_ref();
+        self.store_line(kind, text, Tokenizer::default().count(text), entities);
+    }
+
+    /// [`MemoryModule::store`] for text that arrives counted (a broadcast
+    /// message is counted once, not once per recipient).
+    pub fn store_counted(&mut self, kind: RecordKind, text: &CountedText, entities: Vec<String>) {
+        self.store_line(kind, text.as_str(), text.tokens(), entities);
+    }
+
+    /// Stores a record whose `text` holds `tokens` tokens.
+    fn store_line(&mut self, kind: RecordKind, text: &str, tokens: u64, entities: Vec<String>) {
         debug_assert!(
             self.records
                 .last()
@@ -214,15 +227,36 @@ impl MemoryModule {
                 self.last_seen.insert(e.clone(), self.current_step);
             }
         }
+        let start = self.lines.len();
+        let _ = write!(self.lines, "step {}: ", self.current_step);
+        let tokens_before = self.tokens;
+        self.tokens += Tokenizer::default().count(&self.lines[start..]) + tokens;
+        self.lines.push_str(text);
+        self.lines.push('\n');
         self.records.push(MemoryRecord {
             step: self.current_step,
             kind,
-            text: text.into(),
             entities,
+            line_start: self.trimmed + start,
+            tokens_before,
         });
-        if !self.enabled {
-            let cutoff = self.current_step.saturating_sub(1);
-            self.records.retain(|r| r.step >= cutoff);
+        self.trim();
+    }
+
+    /// Drops the records below the window cutoff, and their lines, once
+    /// those lines make up half of the buffer. The cutoff only moves
+    /// forward, so a dropped record could never be retrieved again.
+    fn trim(&mut self) {
+        let cutoff = self.window_cutoff();
+        let dead = self.records.partition_point(|r| r.step < cutoff);
+        let dead_bytes = match self.records.get(dead) {
+            Some(r) => r.line_start - self.trimmed,
+            None => self.lines.len(),
+        };
+        if dead_bytes > 0 && 2 * dead_bytes >= self.lines.len() {
+            self.lines.drain(..dead_bytes);
+            self.records.drain(..dead);
+            self.trimmed += dead_bytes;
         }
     }
 
@@ -329,16 +363,19 @@ impl MemoryModule {
     }
 
     /// Streams retrieval context into `out` (appending), returning the
-    /// measured stats. Allocation-free in steady state: record lines are
-    /// written straight into the caller's buffer, the summarized view
-    /// renders only the lines it keeps, and the dual-memory long-term line
-    /// walks the pre-sorted store.
+    /// measured stats and the appended text's token count. Allocation-free
+    /// in steady state. The retained records' lines are one contiguous
+    /// slice of the line buffer, copied with one `push_str` and counted as a
+    /// difference of running totals; the at most one line written ahead of
+    /// them (the summary header, or the dual-memory long-term line) counts
+    /// what it writes.
     pub fn retrieve_write(&self, out: &mut String) -> RetrievalStats {
         if !self.enabled {
             return RetrievalStats {
                 latency: SimDuration::ZERO,
                 inconsistency_penalty: 0.0,
                 records_scanned: 0,
+                tokens: 0,
             };
         }
         let retained = self.retained();
@@ -350,36 +387,25 @@ impl MemoryModule {
         };
         let latency = SimDuration::from_millis(20) + SimDuration::from_millis(16) * scanned as u64;
 
-        // The rendered view is a virtual line sequence — the dual path is
-        // one long-term line plus the last ≤4 records; the flat path is
-        // every retained record. Summarization keeps the last 6 lines
-        // behind a "[N earlier entries summarized]" header, so lines that
-        // would be dropped are never formatted at all.
-        let tail = if self.dual {
+        // The rendered view is a line sequence joined by `\n` — the dual
+        // path is one long-term line plus the last ≤4 records; the flat
+        // path is every retained record. Summarization keeps the last 6
+        // lines behind a "[N earlier entries summarized]" header.
+        let mut tail = if self.dual {
             &retained[retained.len() - retained.len().min(4)..]
         } else {
             retained
         };
-        let n_lines = if self.dual {
-            1 + tail.len()
-        } else {
-            tail.len()
-        };
+        let n_lines = usize::from(self.dual) + tail.len();
         const KEEP_LAST: usize = 6;
-        let skip = if self.summarize && n_lines > KEEP_LAST {
-            let omitted = n_lines - KEEP_LAST;
-            let _ = writeln!(
-                out,
-                "[{omitted} earlier entries summarized: routine progress]"
-            );
-            omitted
-        } else {
-            0
-        };
-        let mut line_idx = 0usize;
-        let mut first = true;
+        let start = out.len();
+        let mut skip = 0;
+        if self.summarize && n_lines > KEEP_LAST {
+            skip = n_lines - KEEP_LAST;
+            let _ = writeln!(out, "[{skip} earlier entries summarized: routine progress]");
+        }
         if self.dual {
-            if line_idx >= skip {
+            if skip == 0 {
                 out.push_str("long-term: known entities ");
                 for (i, e) in self.long_term_sorted.iter().enumerate() {
                     if i > 0 {
@@ -387,19 +413,20 @@ impl MemoryModule {
                     }
                     out.push_str(e);
                 }
-                first = false;
-            }
-            line_idx += 1;
-        }
-        for r in tail {
-            if line_idx >= skip {
-                if !first {
+                if !tail.is_empty() {
                     out.push('\n');
                 }
-                first = false;
-                let _ = write!(out, "step {}: {}", r.step, r.text);
+            } else {
+                skip -= 1;
             }
-            line_idx += 1;
+        }
+        tail = &tail[skip..];
+        let mut tokens = Tokenizer::default().count(&out[start..]);
+        if let Some(first) = tail.first() {
+            // `tail` is a suffix of the records, so its lines run to the end
+            // of the buffer; the last line's `\n` is left off.
+            out.push_str(&self.lines[first.line_start - self.trimmed..self.lines.len() - 1]);
+            tokens += self.tokens - first.tokens_before;
         }
 
         let inconsistency_penalty = if self.dual || retained.len() <= INCONSISTENCY_ONSET {
@@ -412,21 +439,7 @@ impl MemoryModule {
             latency,
             inconsistency_penalty,
             records_scanned: scanned,
-        }
-    }
-
-    /// Retrieves context for prompting into a fresh string. The step loop
-    /// uses [`MemoryModule::retrieve_write`] with a reused buffer; this
-    /// wrapper keeps the allocating convenience shape for callers that
-    /// want an owned [`Retrieval`].
-    pub fn retrieve(&self) -> Retrieval {
-        let mut text = String::new();
-        let stats = self.retrieve_write(&mut text);
-        Retrieval {
-            text,
-            latency: stats.latency,
-            inconsistency_penalty: stats.inconsistency_penalty,
-            records_scanned: stats.records_scanned,
+            tokens,
         }
     }
 }
@@ -435,15 +448,22 @@ impl MemoryModule {
 mod tests {
     use super::*;
     use crate::prompt::summarize_history;
+    use embodied_llm::Tokenizer;
+
+    /// Retrieves into a fresh buffer.
+    fn retrieve(m: &MemoryModule) -> (String, RetrievalStats) {
+        let mut text = String::new();
+        let stats = m.retrieve_write(&mut text);
+        (text, stats)
+    }
 
     fn module(capacity: MemoryCapacity) -> MemoryModule {
         MemoryModule::new(true, capacity, false, false, vec!["room_0".into()])
     }
 
-    /// The pre-rework algorithms, verbatim: `known_entities` cloned the
-    /// landmark set and re-scanned every retained record; `retrieve`
-    /// collected every line into a `Vec<String>` before joining. The
-    /// incremental index and the streaming writer must match both exactly.
+    /// The pre-rework `known_entities`, verbatim: clone the landmark set
+    /// and re-scan every retained record. The incremental index must match
+    /// it exactly.
     fn known_entities_by_record_scan(m: &MemoryModule) -> HashSet<String> {
         let mut known = m.landmarks.clone();
         for r in m.retained() {
@@ -464,31 +484,46 @@ mod tests {
         known
     }
 
-    fn retrieval_text_by_line_collection(m: &MemoryModule) -> String {
-        if !m.enabled {
+    /// A test-side copy of everything stored: `(step, text, entities)`.
+    type Stored = Vec<(usize, String, Vec<String>)>;
+
+    /// The retrieval text rendered from the test's own copy of the stored
+    /// records (not from the module's line buffer): every retained line
+    /// collected into a `Vec<String>` and joined, as the pre-rework
+    /// `retrieve` did.
+    fn reference_retrieval(
+        (enabled, capacity, dual, summarize): (bool, MemoryCapacity, bool, bool),
+        step: usize,
+        stored: &Stored,
+    ) -> String {
+        if !enabled {
             return String::new();
         }
-        let retained: Vec<&MemoryRecord> = m.retained().iter().collect();
-        let lines: Vec<String> = if m.dual {
-            let mut items: Vec<&str> = m.long_term.iter().map(String::as_str).collect();
+        let window = match capacity {
+            MemoryCapacity::None => 0,
+            MemoryCapacity::Steps(n) => n,
+            MemoryCapacity::Full => usize::MAX,
+        };
+        let cutoff = step.saturating_sub(window);
+        let retained: Vec<String> = stored
+            .iter()
+            .filter(|(at, ..)| *at >= cutoff)
+            .map(|(at, text, _)| format!("step {at}: {text}"))
+            .collect();
+        let lines = if dual {
+            let mut items: Vec<&str> = stored
+                .iter()
+                .flat_map(|(.., entities)| entities.iter().map(String::as_str))
+                .collect();
             items.sort_unstable();
+            items.dedup();
             let mut lines = vec![format!("long-term: known entities {}", items.join(", "))];
-            lines.extend(
-                retained
-                    .iter()
-                    .rev()
-                    .take(4)
-                    .rev()
-                    .map(|r| format!("step {}: {}", r.step, r.text)),
-            );
+            lines.extend(retained.iter().rev().take(4).rev().cloned());
             lines
         } else {
             retained
-                .iter()
-                .map(|r| format!("step {}: {}", r.step, r.text))
-                .collect()
         };
-        if m.summarize {
+        if summarize {
             summarize_history(&lines, 6)
         } else {
             lines.join("\n")
@@ -497,58 +532,110 @@ mod tests {
 
     #[test]
     fn incremental_index_matches_record_scan_across_modes() {
-        for (enabled, dual, summarize, mode) in [
-            (true, false, false, RetrievalMode::Multimodal),
-            (true, false, true, RetrievalMode::Multimodal),
-            (true, true, false, RetrievalMode::Multimodal),
-            (true, true, true, RetrievalMode::Multimodal),
-            (true, false, false, RetrievalMode::TextEmbedding),
-            (true, true, true, RetrievalMode::TextEmbedding),
-            (false, false, false, RetrievalMode::Multimodal),
-        ] {
-            for capacity in [
-                MemoryCapacity::None,
-                MemoryCapacity::Steps(3),
-                MemoryCapacity::Full,
-            ] {
-                let mut m = MemoryModule::new(
-                    enabled,
-                    capacity,
-                    dual,
-                    summarize,
-                    vec!["room_0".into(), "goal_zone".into()],
-                )
-                .with_retrieval_mode(mode);
-                for step in 0..25 {
-                    m.begin_step(step);
-                    m.store(
-                        RecordKind::Observation,
-                        format!("saw object_{} at step {step}", step % 5),
-                        vec![format!("object_{}", step % 5)],
-                    );
-                    if step % 7 == 3 {
-                        m.mark_stale(&format!("object_{}", step % 5));
+        let tok = Tokenizer::default();
+        for enabled in [true, false] {
+            for dual in [false, true] {
+                for summarize in [false, true] {
+                    for mode in [RetrievalMode::Multimodal, RetrievalMode::TextEmbedding] {
+                        for capacity in [
+                            MemoryCapacity::None,
+                            MemoryCapacity::Steps(3),
+                            MemoryCapacity::Full,
+                        ] {
+                            let setup = (enabled, capacity, dual, summarize);
+                            check_mode(&tok, setup, mode);
+                        }
                     }
-                    let expect = known_entities_by_record_scan(&m);
-                    assert_eq!(m.known_entities(), expect, "known set diverged at {step}");
-                    for e in &expect {
-                        assert!(m.knows(e), "knows() must accept {e} at step {step}");
-                    }
-                    for i in 0..5 {
-                        let e = format!("object_{i}");
-                        assert_eq!(
-                            m.knows(&e),
-                            expect.contains(&e),
-                            "knows({e}) diverged at step {step}"
-                        );
-                    }
-                    assert_eq!(
-                        m.retrieve().text,
-                        retrieval_text_by_line_collection(&m),
-                        "retrieval text diverged at step {step}"
-                    );
                 }
             }
+        }
+    }
+
+    fn check_mode(tok: &Tokenizer, setup: (bool, MemoryCapacity, bool, bool), mode: RetrievalMode) {
+        let (enabled, capacity, dual, summarize) = setup;
+        let mut m = MemoryModule::new(
+            enabled,
+            capacity,
+            dual,
+            summarize,
+            vec!["room_0".into(), "goal_zone".into()],
+        )
+        .with_retrieval_mode(mode);
+        let mut stored = Stored::new();
+        let mut trims = 0;
+        let mut buf = String::new();
+        for step in 0..40 {
+            m.begin_step(step);
+            let records = [
+                (
+                    format!("saw object_{} at step {step}", step % 5),
+                    vec![format!("object_{}", step % 5)],
+                ),
+                (
+                    format!("moved {} toward the café 🍎", "far ".repeat(step % 7)),
+                    Vec::new(),
+                ),
+            ];
+            for (text, entities) in records.into_iter().take(1 + step % 2) {
+                let before = m.trimmed;
+                m.store(RecordKind::Observation, &text, entities.clone());
+                trims += usize::from(m.trimmed != before);
+                stored.push((step, text, entities));
+            }
+            if step % 7 == 3 {
+                m.mark_stale(&format!("object_{}", step % 5));
+            }
+            let expect = known_entities_by_record_scan(&m);
+            assert_eq!(m.known_entities(), expect, "known set diverged at {step}");
+            for i in 0..5 {
+                let e = format!("object_{i}");
+                assert_eq!(
+                    m.knows(&e),
+                    expect.contains(&e),
+                    "knows({e}) diverged at step {step}"
+                );
+            }
+            buf.clear();
+            buf.push_str("[map]\n");
+            let stats = m.retrieve_write(&mut buf);
+            let text = &buf["[map]\n".len()..];
+            assert_eq!(
+                text,
+                reference_retrieval(setup, step, &stored),
+                "{setup:?} {mode:?}: retrieval text diverged at step {step}"
+            );
+            assert_eq!(
+                stats.tokens,
+                tok.count(text),
+                "{setup:?} {mode:?}: token count diverged at step {step}"
+            );
+        }
+        if capacity != MemoryCapacity::Full || !enabled {
+            assert!(
+                trims >= 3,
+                "{setup:?}: only {trims} trims of the line buffer"
+            );
+        } else {
+            assert_eq!(trims, 0, "a full-history window never trims");
+        }
+    }
+
+    #[test]
+    fn line_buffer_stays_bounded_by_the_window() {
+        let mut m = module(MemoryCapacity::Steps(8));
+        let text = "observed the corridor and moved forward toward the kitchen";
+        let line = format!("step 1000: {text}\n").len();
+        for step in 0..1000 {
+            m.begin_step(step);
+            m.store(RecordKind::Observation, text, Vec::new());
+            // The window holds 9 steps of lines; trimming waits until the
+            // dead lines are half of the buffer.
+            assert!(
+                m.lines.len() <= 2 * 10 * line,
+                "buffer grew to {}",
+                m.lines.len()
+            );
+            assert!(m.records.len() <= 20);
         }
     }
 
@@ -562,7 +649,7 @@ mod tests {
         assert!(buf.starts_with("[map]\n"));
         assert!(buf.ends_with("step 1: picked up apple_1"));
         assert_eq!(stats.records_scanned, 1);
-        assert_eq!(stats.latency, m.retrieve().latency);
+        assert_eq!(stats.latency, retrieve(&m).1.latency);
     }
 
     #[test]
@@ -578,7 +665,7 @@ mod tests {
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
         // The immediately preceding turn is still in working context…
         assert!(m.known_entities().contains("apple_1"));
-        assert_eq!(m.retrieve().latency, SimDuration::ZERO);
+        assert_eq!(retrieve(&m).1.latency, SimDuration::ZERO);
         // …but two steps later it is gone, and landmarks remain.
         m.begin_step(3);
         let known = m.known_entities();
@@ -612,12 +699,12 @@ mod tests {
     fn retrieval_latency_grows_with_records() {
         let mut m = module(MemoryCapacity::Full);
         m.begin_step(0);
-        let early = m.retrieve().latency;
+        let early = retrieve(&m).1.latency;
         for i in 0..50 {
             m.begin_step(i);
             m.store(RecordKind::Action, format!("did thing {i}"), vec![]);
         }
-        let late = m.retrieve().latency;
+        let late = retrieve(&m).1.latency;
         assert!(late > early);
     }
 
@@ -628,14 +715,14 @@ mod tests {
             m.begin_step(i);
             m.store(RecordKind::Observation, format!("obs {i}"), vec![]);
         }
-        assert!(m.retrieve().inconsistency_penalty > 0.0);
+        assert!(retrieve(&m).1.inconsistency_penalty > 0.0);
 
         let mut small = module(MemoryCapacity::Steps(8));
         for i in 0..100 {
             small.begin_step(i);
             small.store(RecordKind::Observation, format!("obs {i}"), vec![]);
         }
-        assert_eq!(small.retrieve().inconsistency_penalty, 0.0);
+        assert_eq!(retrieve(&small).1.inconsistency_penalty, 0.0);
     }
 
     #[test]
@@ -649,7 +736,7 @@ mod tests {
                 vec![format!("entity_{i}")],
             );
         }
-        let r = m.retrieve();
+        let (_, r) = retrieve(&m);
         assert_eq!(r.inconsistency_penalty, 0.0);
         // Long-term store retains everything…
         assert!(m.known_entities().contains("entity_0"));
@@ -699,9 +786,9 @@ mod tests {
         let mut m = module(MemoryCapacity::Steps(5));
         m.begin_step(2);
         m.store(RecordKind::Action, "picked up apple_1", vec![]);
-        let r = m.retrieve();
-        assert!(r.text.contains("picked up apple_1"));
-        assert!(r.text.contains("step 2"));
+        let (text, _) = retrieve(&m);
+        assert!(text.contains("picked up apple_1"));
+        assert!(text.contains("step 2"));
     }
 
     #[test]
@@ -735,6 +822,6 @@ mod tests {
             plain.store(RecordKind::Observation, text.clone(), vec![]);
             summ.store(RecordKind::Observation, text, vec![]);
         }
-        assert!(summ.retrieve().text.len() < plain.retrieve().text.len() / 2);
+        assert!(retrieve(&summ).0.len() < retrieve(&plain).0.len() / 2);
     }
 }

@@ -11,9 +11,7 @@ mod sensing;
 pub use communication::{CommunicationModule, OutgoingMessage};
 pub use execution::{ExecMode, ExecutionModule, ExecutionReport};
 pub use mapping::{LocationKnowledge, WorldMap};
-pub use memory::{
-    MemoryModule, MemoryRecord, RecordKind, Retrieval, RetrievalMode, RetrievalStats,
-};
+pub use memory::{MemoryModule, MemoryRecord, RecordKind, RetrievalMode, RetrievalStats};
 pub use planning::{PlanContext, PlanDecision, PlanningModule};
 pub use reflection::{ReflectionModule, ReflectionVerdict};
 pub use sensing::{Percept, SensingModule};

@@ -6,24 +6,26 @@
 //! oracle or draws a wrong candidate — so success rates, wasted steps and
 //! replanning loops all flow from the quality model.
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{CountedText, PromptWriter};
 use embodied_env::Subgoal;
-use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
+use embodied_llm::{
+    EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose, Tokenizer,
+};
 use std::fmt::Write as _;
 
 /// Everything the planner needs for one decision.
 #[derive(Debug, Clone)]
 pub struct PlanContext<'a> {
     /// Workload system preamble.
-    pub preamble: &'a str,
+    pub preamble: &'a CountedText,
     /// Natural-language goal.
     pub goal: &'a str,
     /// Sensing output text.
     pub percept_text: &'a str,
     /// Retrieved memory text.
-    pub memory_text: &'a str,
+    pub memory: &'a CountedText,
     /// Concatenated dialogue history (multi-agent systems).
-    pub dialogue_text: &'a str,
+    pub dialogue: &'a CountedText,
     /// Ground-truth useful subgoals, already knowledge-filtered.
     pub oracle: Vec<Subgoal>,
     /// Full candidate menu, already knowledge-filtered.
@@ -93,14 +95,16 @@ impl PlanningModule {
         out
     }
 
-    /// Renders the planning prompt into a reusable buffer.
-    fn write_prompt(ctx: &PlanContext<'_>, out: &mut String) {
+    /// Renders the planning prompt into a reusable buffer, returning its
+    /// token count.
+    fn write_prompt(ctx: &PlanContext<'_>, out: &mut String) -> u64 {
         PromptWriter::new(out, ctx.preamble)
             .push("task goal", ctx.goal)
             .push("current observation", ctx.percept_text)
-            .push("memory", ctx.memory_text)
-            .push("dialogue", ctx.dialogue_text)
-            .push_candidates(&ctx.candidates);
+            .push_counted("memory", ctx.memory)
+            .push_counted("dialogue", ctx.dialogue)
+            .push_candidates(&ctx.candidates)
+            .tokens()
     }
 
     /// Makes one planning decision.
@@ -109,10 +113,10 @@ impl PlanningModule {
     ///
     /// Propagates [`LlmError`] from the engine (empty prompt).
     pub fn plan(&mut self, ctx: &PlanContext<'_>) -> Result<PlanDecision, LlmError> {
-        Self::write_prompt(ctx, &mut self.prompt_buf);
+        let tokens = Self::write_prompt(ctx, &mut self.prompt_buf);
         let expected_output = if ctx.opts.multiple_choice { 8 } else { 190 };
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Planning, self.prompt_buf.as_str(), expected_output)
+            LlmRequest::counted(Purpose::Planning, &self.prompt_buf, tokens, expected_output)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -156,14 +160,16 @@ impl PlanningModule {
         ctx: &PlanContext<'_>,
         decision: PlanDecision,
     ) -> Result<PlanDecision, LlmError> {
-        Self::write_prompt(ctx, &mut self.prompt_buf);
+        let mut tokens = Self::write_prompt(ctx, &mut self.prompt_buf);
+        let start = self.prompt_buf.len();
         let _ = write!(
             self.prompt_buf,
             "\n[proposed plan]\n{}\nConfirm or pick the best action.",
             decision.subgoal
         );
+        tokens += Tokenizer::default().count(&self.prompt_buf[start..]);
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::ActionSelection, self.prompt_buf.as_str(), 24)
+            LlmRequest::counted(Purpose::ActionSelection, &self.prompt_buf, tokens, 24)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -216,14 +222,18 @@ impl PlanningModule {
 mod tests {
     use super::*;
     use embodied_llm::{LlmEngine, ModelProfile};
+    use std::sync::LazyLock;
 
     fn ctx<'a>(oracle: &'a [Subgoal], candidates: &'a [Subgoal]) -> PlanContext<'a> {
+        static PREAMBLE: LazyLock<CountedText> =
+            LazyLock::new(|| CountedText::new("you are a planner"));
+        static EMPTY: LazyLock<CountedText> = LazyLock::new(CountedText::default);
         PlanContext {
-            preamble: "you are a planner",
+            preamble: &PREAMBLE,
             goal: "deliver all objects",
             percept_text: "you see object_1",
-            memory_text: "",
-            dialogue_text: "",
+            memory: &EMPTY,
+            dialogue: &EMPTY,
             oracle: oracle.to_vec(),
             candidates: candidates.to_vec(),
             difficulty: 0.3,
@@ -358,8 +368,10 @@ mod tests {
         let oracle = [goto()];
         let candidates = [goto()];
         let mut c = ctx(&oracle, &candidates);
-        c.memory_text = "step 3: saw object_1";
-        c.dialogue_text = "agent 1: I am exploring room_2";
+        let memory = CountedText::new("step 3: saw object_1");
+        let dialogue = CountedText::new("agent 1: I am exploring room_2");
+        c.memory = &memory;
+        c.dialogue = &dialogue;
         let prompt = PlanningModule::build_prompt(&c);
         for needle in [
             "[system]",

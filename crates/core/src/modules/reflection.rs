@@ -2,7 +2,7 @@
 //! catches an error, cleans up the agent's beliefs so planning does not
 //! loop on invalid operations (paper §II-A, Fig. 3).
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{CountedText, PromptWriter};
 use embodied_env::{ExecOutcome, Subgoal};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
@@ -97,22 +97,23 @@ impl ReflectionModule {
     /// Propagates [`LlmError`] from the engine.
     pub fn reflect(
         &mut self,
-        preamble: &str,
+        preamble: &CountedText,
         subgoal: &Subgoal,
         outcome: &ExecOutcome,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<ReflectionVerdict, LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push_display("attempted action", subgoal)
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push("attempted action", subgoal)
             .push("observed result", &outcome.note)
             .push(
                 "instruction",
                 "Did the action achieve its intent? If not, diagnose the \
                  error and state what belief must be corrected.",
-            );
+            )
+            .tokens();
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 70)
+            LlmRequest::counted(Purpose::Reflection, &self.prompt_buf, tokens, 70)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -150,19 +151,21 @@ impl ReflectionModule {
     /// Propagates [`LlmError`] from the engine.
     pub fn verify_plan(
         &mut self,
-        preamble: &str,
+        preamble: &CountedText,
         subgoal: &Subgoal,
         plan_is_wrong: bool,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<(bool, LlmResponse), LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push_display("proposed plan", subgoal).push(
-            "instruction",
-            "Verify the proposed plan against the current world state and              task goal. Answer whether it should be executed or revised.",
-        );
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push("proposed plan", subgoal)
+            .push(
+                "instruction",
+                "Verify the proposed plan against the current world state and              task goal. Answer whether it should be executed or revised.",
+            )
+            .tokens();
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 18)
+            LlmRequest::counted(Purpose::Reflection, &self.prompt_buf, tokens, 18)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -189,7 +192,7 @@ mod tests {
         let caught = (0..100)
             .filter(|_| {
                 r.reflect(
-                    "you are a reflector",
+                    &CountedText::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.4,
@@ -212,7 +215,7 @@ mod tests {
         loop {
             let v = r
                 .reflect(
-                    "you are a reflector",
+                    &CountedText::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.3,
@@ -235,7 +238,7 @@ mod tests {
         for _ in 0..200 {
             let v = r
                 .reflect(
-                    "you are a reflector",
+                    &CountedText::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.9,
@@ -258,7 +261,7 @@ mod tests {
         let mut r = ReflectionModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 4));
         let v = r
             .reflect(
-                "you are a reflector",
+                &CountedText::new("you are a reflector"),
                 &Subgoal::Explore,
                 &failed_outcome(),
                 0.4,

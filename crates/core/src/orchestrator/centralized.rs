@@ -8,7 +8,7 @@
 
 use crate::guardrail;
 use crate::modules::{Percept, RecordKind};
-use crate::prompt::PromptBuilder;
+use crate::prompt::{CountedText, PromptWriter};
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
@@ -170,31 +170,40 @@ pub(crate) fn plan_assignments(
     }
 
     let central = sys.central.as_mut().expect("centralized system");
-    central.memory_buf.clear();
-    let retrieval = central.memory.retrieve_write(&mut central.memory_buf);
+    let retrieval = central.memory_buf.rewrite(|out| {
+        let stats = central.memory.retrieve_write(out);
+        (stats.tokens, stats)
+    });
     sys.trace
         .record(ModuleKind::Memory, Phase::Retrieval, 0, retrieval.latency);
 
     // One joint prompt covering every agent: linear token growth with n.
-    let mut b = PromptBuilder::new(&central.preamble);
-    b.push("task goal", &goal)
-        .push("memory", &central.memory_buf);
+    let mut w = PromptWriter::new(&mut central.prompt_buf, &central.preamble);
+    w.push("task goal", &goal)
+        .push_counted("memory", &central.memory_buf);
     for (i, p) in percepts.iter().enumerate() {
-        b.push(&format!("agent {i} observation"), &p.text);
-        b.push_candidates(&menus[i]);
+        w.push(format_args!("agent {i} observation"), &p.text)
+            .push_candidates(&menus[i]);
     }
-    b.push(
-        "instruction",
-        "Assign the best next action to every agent, resolving conflicts \
-         and interdependencies between their actions.",
-    );
+    let tokens = w
+        .push(
+            "instruction",
+            "Assign the best next action to every agent, resolving conflicts \
+             and interdependencies between their actions.",
+        )
+        .tokens();
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     let central_tenant = central.planning.engine().tenant();
-    let prompt = b.build();
+    let expected_output = 60 + 45 * n as u64;
     let result = central.planning.engine_mut().infer(
-        LlmRequest::new(Purpose::Planning, &prompt, 60 + 45 * n as u64)
-            .with_difficulty(joint_difficulty)
-            .with_opts(opts),
+        LlmRequest::counted(
+            Purpose::Planning,
+            &central.prompt_buf,
+            tokens,
+            expected_output,
+        )
+        .with_difficulty(joint_difficulty)
+        .with_opts(opts),
     );
     let stall = central.planning.engine_mut().take_stall();
     EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Planning, 0, stall);
@@ -370,7 +379,8 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             .as_ref()
             .expect("checked above")
             .preamble
-            .clone();
+            .as_str()
+            .to_owned();
         sys.open_serving_window(opts, &prefix);
     }
     for (i, sg) in assignments.iter().enumerate() {
@@ -384,14 +394,13 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         let Some(comm) = central.communication.as_mut() else {
             return;
         };
-        let preamble = central.preamble.clone();
         let comm_tenant = comm.engine().tenant();
         let result = comm.generate(
             i,
-            &preamble,
+            &central.preamble,
             &goal,
             &format!("extract agent {i}'s feedback on the proposal: {sg}"),
-            "",
+            &CountedText::default(),
             &[],
             difficulty,
             opts,
@@ -458,13 +467,12 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         .enumerate()
         .map(|(i, sg)| format!("agent {i}: {sg}"))
         .collect();
-    let preamble = central.preamble.clone();
     let result = comm.generate(
         usize::MAX, // the center itself
-        &preamble,
+        &central.preamble,
         &goal,
         &format!("instructions: {}", instruction_text.join("; ")),
-        "",
+        &CountedText::default(),
         &[],
         difficulty,
         opts,
@@ -506,7 +514,9 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         if !sg.is_idle() {
             sys.messages.useful += 1;
         }
-        sys.agents[i].inbox.push(format!("center: your task: {sg}"));
+        sys.agents[i]
+            .inbox
+            .push(CountedText::new(format!("center: your task: {sg}")));
         sys.agents[i].memory.store(
             RecordKind::Dialogue,
             format!("center assigned: {sg}"),

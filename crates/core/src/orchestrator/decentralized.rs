@@ -134,7 +134,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     // Crashed and stalled agents lose the step either way.
     if sys.serving_batching() && n > 1 {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
-        let prefix = sys.agents[0].preamble.clone();
+        let prefix = sys.agents[0].preamble.as_str().to_owned();
         sys.open_serving_window(opts, &prefix);
         let mut plans: Vec<Option<Subgoal>> = vec![None; n];
         for i in 0..n {

@@ -4,6 +4,7 @@
 
 use super::centralized;
 use crate::modules::RecordKind;
+use crate::prompt::CountedText;
 use crate::system::EmbodiedSystem;
 use embodied_profiler::ModuleKind;
 
@@ -30,7 +31,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     let windowed = sys.serving_batching() && n > 1;
     if windowed {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
-        let prefix = sys.agents[0].preamble.clone();
+        let prefix = sys.agents[0].preamble.as_str().to_owned();
         sys.open_serving_window(opts, &prefix);
     }
     let goal = sys.env.goal_text();
@@ -50,7 +51,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             &agent.preamble,
             &goal,
             &status,
-            "",
+            &CountedText::default(),
             &delta,
             difficulty,
             opts,
@@ -96,7 +97,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         }
         central
             .memory
-            .store(RecordKind::Dialogue, msg.text, msg.entities);
+            .store_counted(RecordKind::Dialogue, &msg.text, msg.entities);
     }
 
     if windowed {

@@ -5,103 +5,91 @@
 //! counts therefore grow exactly the way the paper's Fig. 6 describes —
 //! retrieved context and concatenated multi-agent dialogue inflate the
 //! prompt step after step.
+//!
+//! Each piece is tokenized once, where it is written: counting is additive
+//! wherever two pieces meet at whitespace, and every section ends in `\n`,
+//! so a prompt's token count is the sum of its sections' counts. Bodies
+//! that already carry a count ([`CountedText`]: the preamble, the memory
+//! window, the dialogue) are never re-scanned.
 
 use embodied_env::Subgoal;
-use std::fmt::Write as _;
+use embodied_llm::Tokenizer;
+use std::fmt::{self, Write as _};
 
-/// Builder for one module's prompt at one step.
-#[derive(Debug, Clone, Default)]
-pub struct PromptBuilder {
-    sections: Vec<(String, String)>,
+/// Prompt text together with its token count (`Tokenizer::count` of the
+/// text), counted once when the text is produced and reused by every prompt
+/// that embeds it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountedText {
+    text: String,
+    tokens: u64,
 }
 
-impl PromptBuilder {
-    /// Starts a prompt with the workload's system preamble.
-    pub fn new(preamble: &str) -> Self {
-        let mut b = PromptBuilder::default();
-        b.push("system", preamble);
-        b
+impl CountedText {
+    /// Counts `text`.
+    pub fn new(text: impl Into<String>) -> Self {
+        let text = text.into();
+        let tokens = Tokenizer::default().count(&text);
+        CountedText { text, tokens }
     }
 
-    /// Appends a named section (skipped when `body` is empty).
-    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
-        if !body.trim().is_empty() {
-            self.sections.push((title.to_owned(), body.to_owned()));
-        }
-        self
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 
-    /// Appends the candidate-subgoal menu, formatted as a numbered list —
-    /// the action-list formalization the paper describes in §II-A.
-    pub fn push_candidates(&mut self, candidates: &[Subgoal]) -> &mut Self {
-        if candidates.is_empty() {
-            return self;
-        }
-        let mut body = String::new();
-        for (i, sg) in candidates.iter().enumerate() {
-            let _ = writeln!(body, "({i}) {sg}");
-        }
-        self.push("available actions", &body)
+    /// The text's token count.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
     }
 
-    /// Renders the final prompt text.
-    pub fn build(&self) -> String {
-        let mut out = String::new();
-        self.build_into(&mut out);
-        out
-    }
-
-    /// Renders the prompt into `out`, clearing it first. Callers on the
-    /// per-step hot path hold one buffer across steps so the prompt's
-    /// capacity is allocated once per episode instead of once per call.
-    pub fn build_into(&self, out: &mut String) {
-        out.clear();
-        let needed: usize = self
-            .sections
-            .iter()
-            .map(|(title, body)| title.len() + body.len() + 4)
-            .sum();
-        out.reserve(needed);
-        for (title, body) in &self.sections {
-            let _ = write!(out, "[{title}]\n{body}\n");
-        }
+    /// Rewrites the text in place, reusing its capacity: `render` writes
+    /// into the cleared buffer and returns the token count of what it wrote
+    /// (checked in debug builds) plus any value of its own.
+    pub fn rewrite<T>(&mut self, render: impl FnOnce(&mut String) -> (u64, T)) -> T {
+        self.text.clear();
+        let (tokens, value) = render(&mut self.text);
+        self.tokens = tokens;
+        debug_assert_eq!(tokens, Tokenizer::default().count(&self.text));
+        value
     }
 }
 
-/// Zero-copy sibling of [`PromptBuilder`]: renders sections straight into a
-/// caller-owned `String` instead of collecting owned `(title, body)` pairs
-/// first. Produces byte-identical text to building a [`PromptBuilder`] with
-/// the same pushes and calling [`PromptBuilder::build`], but performs no
-/// per-section allocations — the per-step hot path reuses one buffer across
-/// an entire episode.
+/// Renders prompt sections straight into a caller-owned `String` and counts
+/// its tokens — the per-step hot path reuses one buffer across an entire
+/// episode and never re-tokenizes the whole prompt. The sections it
+/// formats are counted together, one scan per run of them; bodies that
+/// arrive counted are not scanned at all.
 pub struct PromptWriter<'a> {
     out: &'a mut String,
+    /// Tokens of `out[..counted]`; the bytes past it are not counted yet.
+    tokens: u64,
+    counted: usize,
 }
 
 impl<'a> PromptWriter<'a> {
     /// Clears `out` and starts a prompt with the workload's system preamble.
-    pub fn new(out: &'a mut String, preamble: &str) -> Self {
+    pub fn new(out: &'a mut String, preamble: &CountedText) -> Self {
         out.clear();
-        let mut w = PromptWriter { out };
-        w.push("system", preamble);
+        let mut w = PromptWriter {
+            out,
+            tokens: 0,
+            counted: 0,
+        };
+        w.push_counted("system", preamble);
         w
     }
 
-    /// Appends a named section (skipped when `body` is empty).
-    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
-        if !body.trim().is_empty() {
-            let _ = write!(self.out, "[{title}]\n{body}\n");
-        }
-        self
+    /// Token count of everything written so far: exactly
+    /// `Tokenizer::count` of the buffer.
+    pub fn tokens(&self) -> u64 {
+        self.tokens + Tokenizer::default().count(&self.out[self.counted..])
     }
 
-    /// Appends a named section whose body is rendered through [`fmt::Display`]
-    /// straight into the buffer — no intermediate `to_string`. Produces the
-    /// same bytes as `push(title, &body.to_string())`, including skipping
-    /// the section when the rendered body is empty or whitespace.
-    ///
-    /// [`fmt::Display`]: std::fmt::Display
-    pub fn push_display(&mut self, title: &str, body: &impl std::fmt::Display) -> &mut Self {
+    /// Appends a named section, its body rendered through [`fmt::Display`]
+    /// straight into the buffer — no intermediate `to_string`. The section
+    /// is skipped when the rendered body is empty or whitespace.
+    pub fn push(&mut self, title: impl fmt::Display, body: impl fmt::Display) -> &mut Self {
         let start = self.out.len();
         let _ = writeln!(self.out, "[{title}]");
         let body_start = self.out.len();
@@ -114,8 +102,22 @@ impl<'a> PromptWriter<'a> {
         self
     }
 
-    /// Appends the candidate-subgoal menu, numbered like
-    /// [`PromptBuilder::push_candidates`].
+    /// Appends a named section whose body arrives with its count: only the
+    /// title line is tokenized. Same bytes as `push(title, body.as_str())`.
+    pub fn push_counted(&mut self, title: impl fmt::Display, body: &CountedText) -> &mut Self {
+        if !body.as_str().trim().is_empty() {
+            let _ = writeln!(self.out, "[{title}]");
+            self.tokens = self.tokens();
+            self.out.push_str(body.as_str());
+            self.out.push('\n');
+            self.tokens += body.tokens();
+            self.counted = self.out.len();
+        }
+        self
+    }
+
+    /// Appends the candidate-subgoal menu, formatted as a numbered list —
+    /// the action-list formalization the paper describes in §II-A.
     pub fn push_candidates(&mut self, candidates: &[Subgoal]) -> &mut Self {
         if candidates.is_empty() {
             return self;
@@ -192,8 +194,10 @@ pub fn system_preamble(workload: &str, role: &str) -> String {
 
 /// A compact summarized rendering of a list of history lines (Rec. 6):
 /// keeps the `keep_last` most recent verbatim and collapses the rest into a
-/// single count line.
-pub fn summarize_history(lines: &[String], keep_last: usize) -> String {
+/// single count line. The reference the memory window's summarized view is
+/// tested against.
+#[cfg(test)]
+pub(crate) fn summarize_history(lines: &[String], keep_last: usize) -> String {
     if lines.len() <= keep_last {
         return lines.join("\n");
     }
@@ -208,78 +212,116 @@ mod tests {
     use super::*;
     use embodied_llm::Tokenizer;
 
-    #[test]
-    fn sections_render_in_order() {
-        let mut b = PromptBuilder::new("be helpful");
-        b.push("goal", "deliver things")
-            .push("memory", "saw an apple");
-        let text = b.build();
-        let goal_at = text.find("[goal]").unwrap();
-        let mem_at = text.find("[memory]").unwrap();
-        assert!(goal_at < mem_at);
-        assert!(text.starts_with("[system]"));
+    /// The owned-sections prompt builder the writer replaced, kept as the
+    /// byte-level reference: collect `(title, body)` pairs, then render.
+    #[derive(Default)]
+    struct PromptBuilder {
+        sections: Vec<(String, String)>,
     }
 
-    #[test]
-    fn build_into_reuses_buffer_and_matches_build() {
-        let mut b = PromptBuilder::new("be helpful");
-        b.push("goal", "deliver things");
-        let mut buf = String::from("stale content from the previous step");
-        b.build_into(&mut buf);
-        assert_eq!(buf, b.build());
-        // A second render into the same buffer is identical too.
-        let before_ptr = buf.as_ptr();
-        b.build_into(&mut buf);
-        assert_eq!(buf, b.build());
-        assert_eq!(before_ptr, buf.as_ptr(), "capacity should be reused");
+    impl PromptBuilder {
+        fn new(preamble: &str) -> Self {
+            let mut b = PromptBuilder::default();
+            b.push("system", preamble);
+            b
+        }
+
+        fn push(&mut self, title: &str, body: &str) -> &mut Self {
+            if !body.trim().is_empty() {
+                self.sections.push((title.to_owned(), body.to_owned()));
+            }
+            self
+        }
+
+        fn push_candidates(&mut self, candidates: &[Subgoal]) -> &mut Self {
+            let mut body = String::new();
+            for (i, sg) in candidates.iter().enumerate() {
+                let _ = writeln!(body, "({i}) {sg}");
+            }
+            self.push("available actions", &body)
+        }
+
+        fn build(&self) -> String {
+            let mut out = String::new();
+            for (title, body) in &self.sections {
+                let _ = write!(out, "[{title}]\n{body}\n");
+            }
+            out
+        }
     }
 
-    #[test]
-    fn empty_sections_skipped() {
-        let mut b = PromptBuilder::new("x");
-        b.push("empty", " ");
-        assert!(!b.build().contains("[empty]"));
+    fn menu() -> [Subgoal; 2] {
+        [
+            Subgoal::Explore,
+            Subgoal::Pick {
+                object: "apple_1".into(),
+            },
+        ]
     }
 
     #[test]
     fn writer_matches_builder_byte_for_byte() {
-        let candidates = [
-            Subgoal::Explore,
-            Subgoal::Pick {
-                object: "apple_1".into(),
-            },
-        ];
+        let candidates = menu();
         let mut b = PromptBuilder::new("be helpful");
         b.push("goal", "deliver things")
             .push("empty", "  ")
             .push("memory", "saw an apple")
+            .push("proposed plan", &Subgoal::Explore.to_string())
+            .push("dialogue", "agent 1: hi")
             .push_candidates(&candidates);
         let mut buf = String::from("stale");
-        PromptWriter::new(&mut buf, "be helpful")
+        PromptWriter::new(&mut buf, &CountedText::new("be helpful"))
             .push("goal", "deliver things")
-            .push("empty", "  ")
+            .push(format_args!("{}", "empty"), "  ")
             .push("memory", "saw an apple")
+            .push("proposed plan", &Subgoal::Explore)
+            .push_counted("dialogue", &CountedText::new("agent 1: hi"))
             .push_candidates(&candidates);
         assert_eq!(buf, b.build());
+        assert!(buf.starts_with("[system]\nbe helpful\n[goal]"));
         // Empty candidate menus are skipped by both paths.
         let mut b = PromptBuilder::new("x");
         b.push_candidates(&[]);
-        PromptWriter::new(&mut buf, "x").push_candidates(&[]);
+        PromptWriter::new(&mut buf, &CountedText::new("x")).push_candidates(&[]);
         assert_eq!(buf, b.build());
     }
 
     #[test]
+    fn writer_tokens_equal_a_full_recount_for_every_push_kind() {
+        let tok = Tokenizer::default();
+        let preamble = CountedText::new("You are the planning module. Plan well.");
+        let memory = CountedText::new("[map]\nroom_0: apple_1\nstep 3: saw 🍎 in the café");
+        let mut buf = String::new();
+        let mut w = PromptWriter::new(&mut buf, &preamble);
+        let mut expect_steps = vec![w.tokens()];
+        w.push("task goal", "deliver the apple to the table");
+        expect_steps.push(w.tokens());
+        w.push("skipped", " \t\n ");
+        w.push_counted("skipped too", &CountedText::new("\u{3000}\n"));
+        w.push("skipped display", format_args!("{}", "  "));
+        w.push(
+            format_args!("agent {} observation", 3),
+            "émigré robots 🤖 naïveté",
+        );
+        w.push("attempted action", &Subgoal::Explore);
+        w.push_counted("memory", &memory);
+        w.push_candidates(&menu());
+        w.push("long", "extraordinarily ".repeat(40));
+        let total = w.tokens();
+        expect_steps.push(total);
+        assert_eq!(total, tok.count(&buf), "{buf:?}");
+        assert!(!buf.contains("skipped"));
+        // The preamble section alone: `[system]` plus the preamble's count.
+        assert_eq!(expect_steps[0], 3 + preamble.tokens);
+        assert!(expect_steps.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn candidates_are_numbered() {
-        let mut b = PromptBuilder::new("x");
-        b.push_candidates(&[
-            Subgoal::Explore,
-            Subgoal::Pick {
-                object: "apple_1".into(),
-            },
-        ]);
-        let text = b.build();
-        assert!(text.contains("(0) explore"));
-        assert!(text.contains("(1) pick up apple_1"));
+        let mut buf = String::new();
+        PromptWriter::new(&mut buf, &CountedText::new("x")).push_candidates(&menu());
+        assert!(buf.contains("(0) explore"));
+        assert!(buf.contains("(1) pick up apple_1"));
     }
 
     #[test]

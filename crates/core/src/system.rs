@@ -9,12 +9,12 @@ use crate::modules::{
     CommunicationModule, MemoryModule, Percept, PlanContext, PlanningModule, RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::system_preamble;
+use crate::prompt::{system_preamble, CountedText};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
     EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmError, LlmRequest, LlmResponse,
-    Purpose, ServingConfig, TenantId, TenantOwner, WindowShare,
+    Purpose, ServingConfig, TenantId, TenantOwner, Tokenizer, WindowShare,
 };
 use embodied_profiler::{
     EpisodeReport, LatencyBreakdown, MessageStats, ModuleKind, Outcome, Phase, PurposeLedger,
@@ -55,10 +55,12 @@ pub(crate) struct CentralPlanner {
     pub planning: PlanningModule,
     pub communication: Option<CommunicationModule>,
     pub memory: MemoryModule,
-    pub preamble: String,
+    pub preamble: CountedText,
     /// Reusable render buffer for the central memory section (same role as
     /// [`ModularAgent::memory_buf`]).
-    pub memory_buf: String,
+    pub memory_buf: CountedText,
+    /// Reusable buffer for the joint planning prompt.
+    pub prompt_buf: String,
 }
 
 /// One windowed LLM call awaiting its amortized latency share when the
@@ -218,8 +220,9 @@ impl EmbodiedSystem {
                     config.opts.summarization,
                     landmarks,
                 ),
-                preamble: system_preamble(&workload, "central planning"),
-                memory_buf: String::new(),
+                preamble: CountedText::new(system_preamble(&workload, "central planning")),
+                memory_buf: CountedText::default(),
+                prompt_buf: String::new(),
             }),
             _ => None,
         };
@@ -357,7 +360,7 @@ impl EmbodiedSystem {
         };
         let mut by_phase = PurposeLedger::default();
         for span in self.trace.spans() {
-            by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
+            by_phase.record(span.phase.as_str(), span.duration, 0, 0);
         }
         let mut resilience = self.degradations;
         resilience.merge(&match self.fleet_scope {
@@ -479,7 +482,7 @@ impl EmbodiedSystem {
             calls += 1;
             max_prompt = max_prompt.max(response.prompt_tokens);
             self.by_purpose.record(
-                &response.purpose.to_string(),
+                response.purpose.as_str(),
                 share.share,
                 response.prompt_tokens,
                 response.output_tokens,
@@ -646,7 +649,7 @@ impl EmbodiedSystem {
             "{}\n[failover] agent {promoted} is assuming the coordinator role. \
              Re-synchronize: re-ingest the status of all {n} agents and the \
              task goal ({goal}), then resume joint planning.",
-            central.preamble
+            central.preamble.as_str()
         );
         let result = central.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40 + 10 * n as u64)
@@ -709,7 +712,7 @@ impl EmbodiedSystem {
             for _ in 0..msg.copies {
                 agent
                     .memory
-                    .store(RecordKind::Dialogue, msg.text.clone(), msg.entities.clone());
+                    .store_counted(RecordKind::Dialogue, &msg.text, msg.entities.clone());
                 agent.inbox.push(msg.text.clone());
             }
         }
@@ -753,7 +756,7 @@ impl EmbodiedSystem {
         self.counters.max_prompt_tokens =
             self.counters.max_prompt_tokens.max(response.prompt_tokens);
         self.by_purpose.record(
-            &response.purpose.to_string(),
+            response.purpose.as_str(),
             response.latency,
             response.prompt_tokens,
             response.output_tokens,
@@ -793,7 +796,7 @@ impl EmbodiedSystem {
         self.recovery_stats.reobserve_latency += latency;
         agent.memory.store(
             RecordKind::Observation,
-            percept.text.clone(),
+            &percept.text,
             percept.entities.clone(),
         );
         agent.map.integrate(&percept, self.step);
@@ -815,7 +818,7 @@ impl EmbodiedSystem {
              Diagnose the failure against the task goal ({goal}) and produce \
              a fresh plan that routes around the broken actuator or \
              misperceived object.",
-            agent.preamble
+            agent.preamble.as_str()
         );
         let result = agent.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40)
@@ -864,7 +867,7 @@ impl EmbodiedSystem {
         agent.memory.begin_step(self.step);
         agent.memory.store(
             RecordKind::Observation,
-            percept.text.clone(),
+            &percept.text,
             percept.entities.clone(),
         );
         agent.map.integrate(&percept, self.step);
@@ -995,7 +998,7 @@ impl EmbodiedSystem {
         &mut self,
         i: usize,
         percept: &Percept,
-        dialogue_text: &str,
+        dialogue: &CountedText,
     ) -> (Subgoal, bool) {
         let team_size = self.agents.len();
         let difficulty = self.env.difficulty().scalar();
@@ -1039,14 +1042,18 @@ impl EmbodiedSystem {
         // knowledge is part of the context the planner reasons over. Both
         // render into the agent's reusable buffer — same bytes as the old
         // `format!("[map]\n{map_summary}\n{retrieval_text}")` path, no
-        // per-step allocation.
-        agent.memory_buf.clear();
-        if agent.map.coverage() > 0 {
-            agent.memory_buf.push_str("[map]\n");
-            agent.map.write_summary(&mut agent.memory_buf, 6);
-            agent.memory_buf.push('\n');
-        }
-        let retrieval = agent.memory.retrieve_write(&mut agent.memory_buf);
+        // per-step allocation. The map lines are counted as written; the
+        // retrieval brings its own count.
+        let retrieval = agent.memory_buf.rewrite(|out| {
+            if agent.map.coverage() > 0 {
+                out.push_str("[map]\n");
+                agent.map.write_summary(out, 6);
+                out.push('\n');
+            }
+            let map_tokens = Tokenizer::default().count(out);
+            let stats = agent.memory.retrieve_write(out);
+            (map_tokens + stats.tokens, stats)
+        });
         self.trace
             .record(ModuleKind::Memory, Phase::Retrieval, i, retrieval.latency);
 
@@ -1070,8 +1077,8 @@ impl EmbodiedSystem {
             preamble: &agent.preamble,
             goal: &goal,
             percept_text: &percept.text,
-            memory_text: &agent.memory_buf,
-            dialogue_text,
+            memory: &agent.memory_buf,
+            dialogue,
             oracle,
             candidates,
             difficulty,
@@ -1340,7 +1347,7 @@ impl EmbodiedSystem {
         let agent = &mut self.agents[i];
         agent
             .memory
-            .store(RecordKind::Action, outcome.note.clone(), Vec::new());
+            .store(RecordKind::Action, &outcome.note, Vec::new());
         if outcome.completed {
             agent.memory.record_skill(subgoal.pattern());
         }
@@ -1377,7 +1384,7 @@ impl EmbodiedSystem {
     pub(crate) fn deliver_message_to(
         &mut self,
         from: usize,
-        text: &str,
+        text: &CountedText,
         entities: &[String],
         recipients: &[usize],
     ) {
@@ -1404,11 +1411,11 @@ impl EmbodiedSystem {
             };
             let (text, entities) = if corrupt {
                 (
-                    format!("[garbled transmission from agent {from}]"),
+                    CountedText::new(format!("[garbled transmission from agent {from}]")),
                     Vec::new(),
                 )
             } else {
-                (text.to_owned(), entities.to_vec())
+                (text.clone(), entities.to_vec())
             };
             if delay > 0 {
                 self.channel.delayed.push(DelayedMessage {
@@ -1429,7 +1436,7 @@ impl EmbodiedSystem {
             for _ in 0..copies {
                 agent
                     .memory
-                    .store(RecordKind::Dialogue, text.clone(), entities.clone());
+                    .store_counted(RecordKind::Dialogue, &text, entities.clone());
                 agent.inbox.push(text.clone());
             }
         }

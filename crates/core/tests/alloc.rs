@@ -5,13 +5,15 @@
 //! the hot path:
 //!
 //! 1. the reworked planning/memory/comms primitives — streaming memory
-//!    retrieval into a reused buffer, point entity queries, prompt assembly
-//!    via [`PromptWriter`], inference with a borrowed-prompt request, and
-//!    prompt token counting (plain and incremental) — perform **zero** heap
-//!    allocations at steady state (after warm-up);
+//!    retrieval (with its token count) into a reused buffer, point entity
+//!    queries, prompt assembly and per-section counting via
+//!    [`PromptWriter`], inference with a borrowed, pre-counted prompt, and
+//!    the tokenizer itself — perform **zero** heap allocations at steady
+//!    state (after warm-up);
 //! 2. a full episode's allocation rate is **flat**: later steps do not
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
-//!    or re-formats ever-growing history.
+//!    or re-formats ever-growing history, and the memory window's line
+//!    buffer is trimmed in place.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -21,10 +23,10 @@ use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
 use embodied_agents::modules::{MemoryModule, RecordKind};
-use embodied_agents::prompt::PromptWriter;
+use embodied_agents::prompt::{CountedText, PromptWriter};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::TaskDifficulty;
-use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, PromptTokens, Purpose, Tokenizer};
+use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose, Tokenizer};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
 /// each allocation (and reallocation — growth is an allocation for the
@@ -62,24 +64,28 @@ fn allocs() -> usize {
     ALLOCS.with(|c| c.get())
 }
 
-/// The steady-state planning path: retrieval streamed into a reused buffer,
-/// a point `knows` query, prompt assembly into a second reused buffer, and
-/// one inference call lending that buffer to the engine.
+/// The steady-state planning path: retrieval (and its token count) streamed
+/// into a reused buffer, a point `knows` query, prompt assembly and
+/// counting into a second reused buffer, and one inference call lending
+/// that buffer and its count to the engine.
 fn plan_once(
     mem: &MemoryModule,
     engine: &mut LlmEngine,
-    memory_buf: &mut String,
+    preamble: &CountedText,
+    memory_buf: &mut CountedText,
     prompt_buf: &mut String,
 ) -> f64 {
-    memory_buf.clear();
-    let stats = mem.retrieve_write(memory_buf);
+    let stats = memory_buf.rewrite(|out| {
+        let stats = mem.retrieve_write(out);
+        (stats.tokens, stats)
+    });
     let known = mem.knows("object_3");
-    prompt_buf.clear();
-    PromptWriter::new(prompt_buf, "You are an embodied agent.")
+    let tokens = PromptWriter::new(prompt_buf, preamble)
         .push("goal", "craft an iron pickaxe")
         .push("known", if known { "object_3" } else { "nothing" })
-        .push("memory", memory_buf);
-    let req = LlmRequest::new(Purpose::Planning, prompt_buf, 64).with_difficulty(0.4);
+        .push_counted("memory", memory_buf)
+        .tokens();
+    let req = LlmRequest::counted(Purpose::Planning, prompt_buf, tokens, 64).with_difficulty(0.4);
     let resp = engine.infer(req).expect("inference succeeds");
     resp.quality + stats.inconsistency_penalty
 }
@@ -103,19 +109,31 @@ fn steady_state_planning_path_is_allocation_free() {
         );
     }
     let mut engine = LlmEngine::new(ModelProfile::gpt4_api(), 7);
-    let mut memory_buf = String::new();
+    let preamble = CountedText::new("You are an embodied agent.");
+    let mut memory_buf = CountedText::default();
     let mut prompt_buf = String::new();
 
-    // Warm-up: grows the reused buffers and the tokenizer's incremental
-    // cache to their steady-state capacity.
+    // Warm-up: grows the reused buffers to their steady-state capacity.
     let mut acc = 0.0;
     for _ in 0..3 {
-        acc += plan_once(&mem, &mut engine, &mut memory_buf, &mut prompt_buf);
+        acc += plan_once(
+            &mem,
+            &mut engine,
+            &preamble,
+            &mut memory_buf,
+            &mut prompt_buf,
+        );
     }
 
     let before = allocs();
     for _ in 0..100 {
-        acc += plan_once(&mem, &mut engine, &mut memory_buf, &mut prompt_buf);
+        acc += plan_once(
+            &mem,
+            &mut engine,
+            &preamble,
+            &mut memory_buf,
+            &mut prompt_buf,
+        );
     }
     let after = allocs();
     assert!(acc.is_finite());
@@ -138,25 +156,24 @@ fn token_counting_is_allocation_free() {
             )
         })
         .collect();
-    let mut cache = PromptTokens::new();
     let mut prompt = String::new();
-    // Warm-up: one full growth sizes the prompt buffer and the cache's text
-    // and checkpoint list for every later episode of the same length.
+    // Warm-up: one full growth sizes the prompt buffer.
     for turn in &turns {
         prompt.push_str(turn);
-        tok.count_incremental(&mut cache, &prompt);
     }
 
     let before = allocs();
     let mut total = 0;
     for _ in 0..4 {
         prompt.clear();
+        let mut counted = 0;
         for turn in &turns {
+            // Count each appended turn once, as the prompt writers do.
             prompt.push_str(turn);
-            let incremental = tok.count_incremental(&mut cache, &prompt);
-            assert_eq!(incremental, tok.count(&prompt));
-            total += incremental;
+            counted += tok.count(turn);
         }
+        assert_eq!(counted, tok.count(&prompt));
+        total += counted;
     }
     let after = allocs();
     assert!(total > 0);

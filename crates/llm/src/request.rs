@@ -2,6 +2,7 @@
 
 use crate::latency::InferenceOpts;
 use crate::semantic::SemanticFlaw;
+use crate::tokenizer::Tokenizer;
 use embodied_profiler::SimDuration;
 use std::fmt;
 
@@ -24,31 +25,42 @@ pub enum Purpose {
     Summarization,
 }
 
-impl fmt::Display for Purpose {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Purpose {
+    /// The purpose's ledger key, as [`fmt::Display`] prints it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Purpose::Planning => "planning",
             Purpose::Communication => "communication",
             Purpose::Reflection => "reflection",
             Purpose::ActionSelection => "action-selection",
             Purpose::Summarization => "summarization",
-        };
-        f.write_str(s)
+        }
     }
 }
 
-/// One inference request carrying a *real* prompt string.
+impl fmt::Display for Purpose {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// One inference request carrying a *real* prompt string and its token
+/// count.
 ///
 /// The prompt is borrowed, not owned: every module renders into a reusable
 /// buffer and lends it to the engine for the duration of the call, so the
 /// request itself is `Copy` and the hot path never copies prompt bytes.
 /// Retry layers re-submit by copying the (pointer-sized) request value.
+/// The count travels with the prompt: prompt writers count each piece once,
+/// when they write it, so the engine never re-tokenizes a whole prompt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlmRequest<'a> {
     /// What the caller wants.
     pub purpose: Purpose,
     /// The fully assembled prompt text.
     pub prompt: &'a str,
+    /// `Tokenizer::count(prompt)`, counted by whoever wrote the prompt.
+    pub prompt_tokens: u64,
     /// Nominal completion length the caller expects; actual output length is
     /// sampled around this (scaled by model verbosity).
     pub expected_output_tokens: u64,
@@ -59,11 +71,29 @@ pub struct LlmRequest<'a> {
 }
 
 impl<'a> LlmRequest<'a> {
-    /// Convenience constructor with default options.
+    /// Convenience constructor with default options; counts `prompt`.
     pub fn new(purpose: Purpose, prompt: &'a str, expected_output_tokens: u64) -> Self {
+        Self::counted(
+            purpose,
+            prompt,
+            Tokenizer::default().count(prompt),
+            expected_output_tokens,
+        )
+    }
+
+    /// Constructor for a prompt whose token count its writer already has
+    /// (it must equal `Tokenizer::count(prompt)`; the engine checks this in
+    /// debug builds).
+    pub fn counted(
+        purpose: Purpose,
+        prompt: &'a str,
+        prompt_tokens: u64,
+        expected_output_tokens: u64,
+    ) -> Self {
         LlmRequest {
             purpose,
             prompt,
+            prompt_tokens,
             expected_output_tokens,
             difficulty: 0.5,
             opts: InferenceOpts::default(),
@@ -127,6 +157,7 @@ mod tests {
         assert_eq!(req.difficulty, 0.8);
         assert!(req.opts.multiple_choice);
         assert_eq!(req.prompt, "plan this");
+        assert_eq!(req.prompt_tokens, 2);
     }
 
     #[test]
@@ -140,7 +171,8 @@ mod tests {
         ];
         let mut seen = std::collections::HashSet::new();
         for p in all {
-            assert!(seen.insert(p.to_string()));
+            assert_eq!(p.to_string(), p.as_str());
+            assert!(seen.insert(p.as_str()));
         }
     }
 }

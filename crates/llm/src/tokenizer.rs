@@ -40,7 +40,7 @@ pub struct Tokenizer;
 impl Tokenizer {
     /// Number of tokens in `text`.
     pub fn count(&self, text: &str) -> u64 {
-        scan(text, 0, 0, None)
+        scan(text)
     }
 
     /// The per-char reference definition of [`Tokenizer::count`]: split on
@@ -49,53 +49,6 @@ impl Tokenizer {
     /// specification the word-parallel kernel is tested against.
     pub fn count_per_char(&self, text: &str) -> u64 {
         text.split_whitespace().map(count_word).sum()
-    }
-
-    /// Truncates `text` to at most `max_tokens`, keeping the *tail* (the
-    /// convention used when a prompt exceeds the context window: the system
-    /// preamble has already been consumed, and the freshest context matters
-    /// most). Returns the retained suffix.
-    pub fn truncate_to(&self, text: &str, max_tokens: u64) -> String {
-        if self.count(text) <= max_tokens {
-            return text.to_owned();
-        }
-        // Walk words from the end, accumulating until the budget is spent.
-        let words: Vec<&str> = text.split_whitespace().collect();
-        let mut kept = Vec::new();
-        let mut budget = max_tokens;
-        for word in words.iter().rev() {
-            let cost = count_word(word);
-            if cost > budget {
-                break;
-            }
-            budget -= cost;
-            kept.push(*word);
-        }
-        kept.reverse();
-        kept.join(" ")
-    }
-
-    /// Counts `text`, reusing work from the previous call recorded in
-    /// `cache`. Agent prompts grow by appending (Fig. 6), so consecutive
-    /// prompts share a long stable prefix; this re-tokenizes only the part
-    /// past the last checkpoint inside that shared prefix, making the
-    /// per-step cost proportional to the *appended* text instead of the
-    /// whole prompt. Returns exactly what [`Tokenizer::count`] returns.
-    pub fn count_incremental(&self, cache: &mut PromptTokens, text: &str) -> u64 {
-        let common = common_prefix_len(cache.text.as_bytes(), text.as_bytes());
-        // Keep only checkpoints inside the shared prefix. Each checkpoint
-        // offset sits immediately after a whitespace char of the old text;
-        // byte equality up to `common` means the same complete whitespace
-        // char ends at that offset in `text`, so it is a char boundary and
-        // a seam no word straddles — counting is additive across it.
-        let keep = cache.checkpoints.partition_point(|&(off, _)| off <= common);
-        cache.checkpoints.truncate(keep);
-        let (off, toks) = cache.checkpoints.last().copied().unwrap_or((0, 0));
-        let total = scan(&text[off..], off, toks, Some(&mut cache.checkpoints));
-        cache.text.clear();
-        cache.text.push_str(text);
-        cache.total = total;
-        total
     }
 }
 
@@ -167,18 +120,22 @@ fn lane_bits(m: u64) -> u64 {
     (m >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// Bit masks `(alpha, other, whitespace)` of a 64-byte block, bit `i` for
-/// byte `i`, or `None` if the block holds a non-ASCII byte.
-fn block_masks(block: &[u8; BLOCK]) -> Option<(u64, u64, u64)> {
+/// Bit masks `(alpha, other)` of up to 64 bytes (a whole number of 8-byte
+/// words), bit `i` for byte `i`, or `None` if they hold a non-ASCII byte.
+/// Whitespace, and every bit past the bytes given, is in neither mask; a
+/// short tail thus pays for its own words only, not for a whole block.
+#[inline(always)]
+fn block_masks(bytes: &[u8]) -> Option<(u64, u64)> {
     let (mut any, mut alpha, mut ws) = (0, 0, 0);
-    for (i, word) in block.chunks_exact(8).enumerate() {
+    for (i, word) in bytes.chunks_exact(8).enumerate() {
         let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
         let (a, s) = classify(w);
         any |= w;
         alpha |= lane_bits(a) << (8 * i);
         ws |= lane_bits(s) << (8 * i);
     }
-    (any & HIGH == 0).then_some((alpha, !(alpha | ws), ws))
+    let valid = u64::MAX >> (BLOCK - bytes.len());
+    (any & HIGH == 0).then_some((alpha, !(alpha | ws) & valid))
 }
 
 /// Running state of one scan: tokens so far, and the length of the letter
@@ -237,72 +194,37 @@ impl Scan {
     }
 }
 
-/// Whether a checkpoint at `off` keeps the list's entries at least
-/// [`PromptTokens::STRIDE_BYTES`] apart.
-fn seam_due(checkpoints: &[(usize, u64)], off: usize) -> bool {
-    checkpoints
-        .last()
-        .is_none_or(|&(prev, _)| off - prev >= PromptTokens::STRIDE_BYTES)
-}
-
-/// Counts `text` (= full text from byte `base`, already holding `start`
-/// tokens), recording seam checkpoints into `checkpoints` if given. ASCII
-/// blocks go through the word-parallel kernel; a block holding a non-ASCII
-/// byte is decoded char by char up to the first char boundary past it.
-fn scan(
-    text: &str,
-    base: usize,
-    start: u64,
-    mut checkpoints: Option<&mut Vec<(usize, u64)>>,
-) -> u64 {
+/// Counts `text`. ASCII blocks go through the word-parallel kernel; a
+/// block holding a non-ASCII byte is decoded char by char up to the first
+/// char boundary past it.
+fn scan(text: &str) -> u64 {
     let bytes = text.as_bytes();
-    let mut st = Scan {
-        tokens: start,
-        run: 0,
-    };
+    let mut st = Scan { tokens: 0, run: 0 };
     // A short tail is padded with spaces, which close its last run exactly
     // as the end of the text does.
     let mut tail = [b' '; BLOCK];
     let mut pos = 0;
     while pos < bytes.len() {
         let len = (bytes.len() - pos).min(BLOCK);
-        let block: &[u8; BLOCK] = match bytes[pos..].first_chunk() {
-            Some(full) => full,
+        let masks = match bytes[pos..].first_chunk::<BLOCK>() {
+            Some(full) => block_masks(full),
             None => {
                 tail[..len].copy_from_slice(&bytes[pos..]);
-                &tail
+                block_masks(&tail[..8 * len.div_ceil(8)])
             }
         };
-        let Some((alpha, other, ws)) = block_masks(block) else {
+        let Some((alpha, other)) = masks else {
             let end = pos + len;
             for c in text[pos..].chars() {
                 st.char(c);
                 pos += c.len_utf8();
-                if let Some(list) = checkpoints.as_deref_mut() {
-                    if c.is_whitespace() && seam_due(list, base + pos) {
-                        list.push((base + pos, st.tokens));
-                    }
-                }
                 if pos >= end {
                     break;
                 }
             }
             continue;
         };
-        // Candidate checkpoint: just after the block's last whitespace.
-        let cut = (ws & (u64::MAX >> (BLOCK - len))).leading_zeros();
-        let seam = base + pos + BLOCK - cut as usize;
-        match checkpoints.as_deref_mut() {
-            // Absorb the block in two halves split at the seam; no run is
-            // open there, so the first half's total is the checkpoint.
-            Some(list) if cut < 64 && seam_due(list, seam) => {
-                let low = u64::MAX >> cut;
-                st.block(alpha & low, other & low);
-                list.push((seam, st.tokens));
-                st.block(alpha & !low, other & !low);
-            }
-            _ => st.block(alpha, other),
-        }
+        st.block(alpha, other);
         pos += len;
     }
     st.tokens + long_extra(st.run)
@@ -326,68 +248,6 @@ pub(crate) fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
         .zip(&b[i..])
         .take_while(|(x, y)| x == y)
         .count()
-}
-
-/// Incremental token-count accumulator for one growing prompt stream.
-///
-/// Holds the previously counted text plus `(byte_offset, cumulative_tokens)`
-/// checkpoints at seam-safe positions (each offset sits immediately after a
-/// whitespace char, so no word straddles it). [`Tokenizer::count_incremental`]
-/// resumes from the deepest checkpoint still inside the shared prefix with
-/// the new text; [`PromptTokens::count_prefix`] answers prefix counts (the
-/// KV-reuse accounting path) from the same checkpoints.
-///
-/// ```
-/// use embodied_llm::{PromptTokens, Tokenizer};
-///
-/// let tok = Tokenizer::default();
-/// let mut cache = PromptTokens::new();
-/// let mut prompt = String::from("[system] plan the next step\n");
-/// assert_eq!(tok.count_incremental(&mut cache, &prompt), tok.count(&prompt));
-/// prompt.push_str("[observation] the fridge is open\n");
-/// assert_eq!(tok.count_incremental(&mut cache, &prompt), tok.count(&prompt));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PromptTokens {
-    text: String,
-    checkpoints: Vec<(usize, u64)>,
-    total: u64,
-}
-
-impl PromptTokens {
-    /// Minimum byte distance between recorded checkpoints: bounds the
-    /// checkpoint list to ~len/64 entries while keeping any recount window
-    /// to at most a stride plus one word.
-    const STRIDE_BYTES: usize = 64;
-
-    /// An empty accumulator (counts everything on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The most recently counted text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Token count of the most recently counted text.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact token count of `self.text()[..upto]` (`upto` must lie on a
-    /// char boundary). Served from the nearest checkpoint at or before
-    /// `upto`, so the cost is bounded by the checkpoint stride rather than
-    /// by `upto` — this is the KV-cache shared-prefix accounting hot path.
-    pub fn count_prefix(&self, tokenizer: &Tokenizer, upto: usize) -> u64 {
-        let at = self.checkpoints.partition_point(|&(off, _)| off <= upto);
-        let (off, toks) = if at == 0 {
-            (0, 0)
-        } else {
-            self.checkpoints[at - 1]
-        };
-        toks + tokenizer.count(&self.text[off..upto])
-    }
 }
 
 #[cfg(test)]
@@ -437,21 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_tail_within_budget() {
-        let tok = Tokenizer::default();
-        let text = "alpha beta gamma delta epsilon";
-        let cut = tok.truncate_to(text, 2);
-        assert!(tok.count(&cut) <= 2);
-        assert!(cut.ends_with("epsilon"));
-    }
-
-    #[test]
-    fn truncate_noop_when_under_budget() {
-        let tok = Tokenizer::default();
-        assert_eq!(tok.truncate_to("short text", 100), "short text");
-    }
-
-    #[test]
     fn count_is_additive_over_concatenation_with_space() {
         let tok = Tokenizer::default();
         let a = "pick up the box";
@@ -460,101 +305,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_full_on_append_sequence() {
+    fn count_is_additive_at_every_whitespace_seam() {
+        // Prompt pieces are counted where they are written and summed; that
+        // is exact wherever two pieces meet at whitespace.
         let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let mut text = String::new();
-        let segments = [
-            "[system] you are the planning module\n",
-            "[goal] transport the boxes to zone three\n",
-            "step 1: agent0 moved to room_2, found nothing.\n",
-            "step 2: 漢字の观察 → the shelf holds 3 apples 🍎🍎🍎\n",
-            "Ideographic\u{3000}space\u{3000}separates\u{3000}these\u{3000}words\n",
-            "a very-long-hyphenated-token antidisestablishmentarianism!!\n",
-        ];
-        // Grow the prompt the way an episode does and re-count at each step.
-        for _ in 0..3 {
-            for seg in segments {
-                text.push_str(seg);
-                assert_eq!(
-                    tok.count_incremental(&mut cache, &text),
-                    tok.count(&text),
-                    "after appending {seg:?}"
-                );
-                assert_eq!(cache.total(), tok.count(&text));
-                assert_eq!(cache.text(), text);
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_handles_rewrites_and_shrinks() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let long: String = "the agent moves the red apple to the table ".repeat(12);
-        assert_eq!(tok.count_incremental(&mut cache, &long), tok.count(&long));
-        // A completely different, shorter text.
-        let other = "replan: fridge door blocked, pick 菠萝 instead";
-        assert_eq!(tok.count_incremental(&mut cache, other), tok.count(other));
-        // A strict prefix of an earlier text (shrinking).
-        let prefix = &long[..long.len() / 2];
-        assert_eq!(tok.count_incremental(&mut cache, prefix), tok.count(prefix));
-        // Divergence in the middle of a multi-byte char's neighborhood.
-        let mutated = format!("{}卍{}", &long[..40], &long[44..]);
-        assert_eq!(
-            tok.count_incremental(&mut cache, &mutated),
-            tok.count(&mutated)
-        );
-    }
-
-    #[test]
-    fn count_prefix_matches_direct_count_at_every_boundary() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let text = "step 12: 机器人 crossed the\u{3000}corridor 🤖, logging \
-                    coordinates (4,7) and re-planning the long-horizon route "
+        let text = "[memory]\nstep 12: saw apple_1 near the refrigerator\n\
+                    émigré\u{3000}robots 🤖 extraordinarily\u{A0}long words\n"
             .repeat(3);
-        tok.count_incremental(&mut cache, &text);
-        for upto in (0..=text.len()).filter(|&b| text.is_char_boundary(b)) {
-            assert_eq!(
-                cache.count_prefix(&tok, upto),
-                tok.count(&text[..upto]),
-                "prefix of {upto} bytes"
-            );
+        for cut in (0..=text.len()).filter(|&b| text.is_char_boundary(b)) {
+            let (a, b) = text.split_at(cut);
+            let seam = a.chars().next_back().is_some_and(char::is_whitespace)
+                || b.chars().next().is_some_and(char::is_whitespace);
+            if seam {
+                assert_eq!(tok.count(a) + tok.count(b), tok.count(&text), "cut {cut}");
+            }
         }
     }
 
-    /// Asserts `count`, a cold `count_incremental` and one resumed from a
-    /// cache warmed on `warm` all equal the per-char reference on `text`,
-    /// and that every recorded checkpoint is a seam inside `text` holding
-    /// the reference count of the prefix before it.
-    fn assert_kernel_matches_reference(text: &str, warm: &str) {
+    /// Asserts the kernel count of `text` equals the per-char reference.
+    fn assert_kernel_matches_reference(text: &str) {
         let tok = Tokenizer::default();
-        let want = tok.count_per_char(text);
-        assert_eq!(tok.count(text), want, "count on {text:?}");
-        let mut cold = PromptTokens::new();
         assert_eq!(
-            tok.count_incremental(&mut cold, text),
-            want,
-            "cold {text:?}"
+            tok.count(text),
+            tok.count_per_char(text),
+            "count on {text:?}"
         );
-        let mut warmed = PromptTokens::new();
-        tok.count_incremental(&mut warmed, warm);
-        assert_eq!(
-            tok.count_incremental(&mut warmed, text),
-            want,
-            "warm {text:?}"
-        );
-        for cache in [&cold, &warmed] {
-            for &(off, toks) in &cache.checkpoints {
-                let seam = text.get(..off).and_then(|t| t.chars().next_back());
-                assert!(
-                    seam.is_some_and(char::is_whitespace),
-                    "checkpoint {off} of {text:?} is not just after whitespace"
-                );
-                assert_eq!(toks, tok.count_per_char(&text[..off]), "checkpoint {off}");
-            }
-        }
     }
 
     #[test]
@@ -569,7 +344,7 @@ mod tests {
                     let mut bytes = background.as_bytes().to_vec();
                     bytes[at] = byte;
                     let text = String::from_utf8(bytes).expect("ASCII");
-                    assert_kernel_matches_reference(&text, background);
+                    assert_kernel_matches_reference(&text);
                 }
             }
         }
@@ -580,10 +355,10 @@ mod tests {
         for len in 1..=200 {
             for lead in [0, 1, 7, 56, 57, 63, 64, 65, 100, 127, 128] {
                 let text = format!("{}{} next, word", ".".repeat(lead), "q".repeat(len));
-                assert_kernel_matches_reference(&text, &text[..lead]);
+                assert_kernel_matches_reference(&text);
                 // Run ending exactly at the end of the text.
                 let text = format!("{}{}", " ".repeat(lead), "Q".repeat(len));
-                assert_kernel_matches_reference(&text, "");
+                assert_kernel_matches_reference(&text);
             }
         }
     }
@@ -608,11 +383,9 @@ mod tests {
         let text = "nbsp\u{A0}separates nel\u{85}too ideographic\u{3000}space, \
                     émigré naïveté 🤖🍎 extraordinarily\u{A0}long\u{3000}words "
             .repeat(5);
-        let boundaries: Vec<usize> = (0..=text.len())
-            .filter(|&b| text.is_char_boundary(b))
-            .collect();
-        for (i, &cut) in boundaries.iter().enumerate() {
-            assert_kernel_matches_reference(&text[..cut], &text[..boundaries[i / 2]]);
+        for cut in (0..=text.len()).filter(|&b| text.is_char_boundary(b)) {
+            assert_kernel_matches_reference(&text[..cut]);
+            assert_kernel_matches_reference(&text[cut..]);
         }
     }
 
@@ -627,15 +400,5 @@ mod tests {
             assert_eq!(common_prefix_len(a, &b), cut);
             assert_eq!(common_prefix_len(&a[..cut], a), cut);
         }
-    }
-
-    #[test]
-    fn incremental_on_empty_and_whitespace() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        assert_eq!(tok.count_incremental(&mut cache, ""), 0);
-        assert_eq!(tok.count_incremental(&mut cache, "  \n\t "), 0);
-        assert_eq!(cache.count_prefix(&tok, 2), 0);
-        assert_eq!(tok.count_incremental(&mut cache, ""), 0);
     }
 }

@@ -1,16 +1,17 @@
-//! Property tests for the word-parallel token counter, the incremental
-//! prompt-token accumulator and the memoized BPE counter. Every count —
-//! plain, incremental or from checkpoints — must equal the per-char
-//! reference (`Tokenizer::count_per_char`) exactly, on ASCII text (the
-//! kernel path) and on mixed multi-byte text (the fallback path).
+//! Property tests for the word-parallel token counter and the memoized BPE
+//! counter. Every count must equal the per-char reference
+//! (`Tokenizer::count_per_char`) exactly, on ASCII text (the kernel path)
+//! and on mixed multi-byte text (the fallback path), for whole texts and
+//! for every prefix cut at a char boundary — the cuts land at every block
+//! offset, mid-word, mid-run and mid-char-sequence.
 
-use embodied_llm::{BpeTokenizer, PromptTokens, Tokenizer};
+use embodied_llm::{BpeTokenizer, Tokenizer};
 use proptest::collection;
 use proptest::prelude::*;
 
 /// Prompt fragments mixing ASCII, CJK, emoji, exotic whitespace (U+3000
-/// ideographic space) and long words — the shapes that stress the
-/// checkpoint seam and UTF-8 boundary handling.
+/// ideographic space) and long words — the shapes that stress block edges
+/// and UTF-8 boundary handling.
 fn segment() -> BoxedStrategy<String> {
     prop_oneof![
         Just("[system] plan the next step\n".to_owned()),
@@ -49,155 +50,88 @@ fn mixed_segment() -> BoxedStrategy<String> {
     .boxed()
 }
 
-/// Largest `k <= upto` that is a char boundary of `s`.
-fn floor_char(s: &str, upto: usize) -> usize {
-    let mut k = upto.min(s.len());
-    while !s.is_char_boundary(k) {
-        k -= 1;
+/// Asserts that `count` of every char-boundary prefix of `text` equals
+/// the per-char reference.
+fn every_prefix_equals_reference(text: &str) -> Result<(), TestCaseError> {
+    let tok = Tokenizer::default();
+    for upto in (0..=text.len()).filter(|&b| text.is_char_boundary(b)) {
+        prop_assert_eq!(
+            tok.count(&text[..upto]),
+            tok.count_per_char(&text[..upto]),
+            "prefix count diverged at byte {} of {:?}",
+            upto,
+            text
+        );
     }
-    k
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Growing a prompt by arbitrary multi-byte appends: every incremental
-    /// count equals a from-scratch recount of the full text.
+    /// Growing a prompt by arbitrary multi-byte appends: the count of every
+    /// intermediate prompt, and of every prefix of the final one, equals
+    /// the reference.
     #[test]
-    fn incremental_equals_full_recount_on_appends(
+    fn count_equals_reference_on_appends(
         segments in collection::vec(segment(), 1..14),
     ) {
         let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
         let mut prompt = String::new();
         for seg in &segments {
             prompt.push_str(seg);
             prop_assert_eq!(
-                tok.count_incremental(&mut cache, &prompt),
+                tok.count(&prompt),
                 tok.count_per_char(&prompt),
                 "append diverged on {:?}",
                 prompt
             );
         }
+        every_prefix_equals_reference(&prompt)?;
     }
 
-    /// Arbitrary edit sequences — append, truncate to a mid-text char
-    /// boundary, or replace wholesale — still recount exactly. This covers
-    /// shrinking and divergent prefixes, not just Fig. 6-style growth.
+    /// Pieces that meet at whitespace count additively: summing the
+    /// segments' counts equals counting the concatenation whenever every
+    /// segment ends in whitespace — the rule prompt writers rely on.
     #[test]
-    fn incremental_equals_full_recount_on_rewrites(
-        edits in collection::vec((0u32..4, segment()), 1..14),
+    fn counts_add_across_whitespace_seams(
+        segments in collection::vec(segment(), 1..14),
     ) {
         let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let mut prompt = String::new();
-        for (op, seg) in &edits {
-            match op {
-                0 | 1 => prompt.push_str(seg),
-                2 => {
-                    let half = floor_char(&prompt, prompt.len() / 2);
-                    prompt.truncate(half);
-                }
-                _ => prompt = seg.clone(),
-            }
-            prop_assert_eq!(
-                tok.count_incremental(&mut cache, &prompt),
-                tok.count_per_char(&prompt),
-                "edit op {} diverged on {:?}",
-                op,
-                prompt
-            );
-        }
-    }
-
-    /// `count_prefix` answers from checkpoints; it must agree with a plain
-    /// count of the prefix at every sampled char boundary.
-    #[test]
-    fn count_prefix_equals_plain_prefix_count(
-        segments in collection::vec(segment(), 1..10),
-        cut in 0.0f64..1.0,
-    ) {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let prompt: String = segments.concat();
-        tok.count_incremental(&mut cache, &prompt);
-        let upto = floor_char(&prompt, (prompt.len() as f64 * cut) as usize);
-        prop_assert_eq!(
-            cache.count_prefix(&tok, upto),
-            tok.count_per_char(&prompt[..upto]),
-            "prefix count diverged at byte {} of {:?}",
-            upto,
-            prompt
-        );
+        let pieces: Vec<String> = segments.iter().map(|s| format!("{s}\n")).collect();
+        let summed: u64 = pieces.iter().map(|p| tok.count(p)).sum();
+        prop_assert_eq!(summed, tok.count(&pieces.concat()));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The kernel path: on ASCII text the plain count and a cold
-    /// incremental count equal the per-char reference.
+    /// The kernel path: on ASCII text the count equals the per-char
+    /// reference.
     #[test]
     fn ascii_count_equals_reference(text in ASCII_TEXT) {
         let tok = Tokenizer::default();
-        let want = tok.count_per_char(&text);
-        prop_assert_eq!(tok.count(&text), want, "count diverged on {:?}", text);
-        let mut cache = PromptTokens::new();
-        prop_assert_eq!(tok.count_incremental(&mut cache, &text), want);
+        prop_assert_eq!(tok.count(&text), tok.count_per_char(&text), "count diverged on {:?}", text);
     }
 
-    /// ASCII prompts grown by appends: every incremental count equals the
-    /// reference, and `count_prefix` agrees with it at every char boundary.
+    /// ASCII prompts grown by appends: the count of every prefix (every
+    /// byte is a char boundary) equals the reference.
     #[test]
-    fn ascii_incremental_and_prefix_equal_reference(
+    fn ascii_prefixes_equal_reference(
         segments in collection::vec(ASCII_TEXT, 1..5),
     ) {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let mut prompt = String::new();
-        for seg in &segments {
-            prompt.push_str(seg);
-            prop_assert_eq!(
-                tok.count_incremental(&mut cache, &prompt),
-                tok.count_per_char(&prompt),
-                "append diverged on {:?}",
-                prompt
-            );
-        }
-        for upto in 0..=prompt.len() {
-            prop_assert_eq!(
-                cache.count_prefix(&tok, upto),
-                tok.count_per_char(&prompt[..upto]),
-                "prefix count diverged at byte {}",
-                upto
-            );
-        }
+        every_prefix_equals_reference(&segments.concat())?;
     }
 
     /// Mixed ASCII / non-ASCII prompts: the fallback and the kernel hand
     /// state to each other mid-run and mid-word, and still equal the
-    /// reference on every append and at every char boundary.
+    /// reference at every char boundary.
     #[test]
     fn mixed_text_equals_reference(
         segments in collection::vec(mixed_segment(), 1..8),
     ) {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let mut prompt = String::new();
-        for seg in &segments {
-            prompt.push_str(seg);
-            let want = tok.count_per_char(&prompt);
-            prop_assert_eq!(tok.count(&prompt), want, "count diverged on {:?}", prompt);
-            prop_assert_eq!(tok.count_incremental(&mut cache, &prompt), want);
-        }
-        for upto in (0..=prompt.len()).filter(|&b| prompt.is_char_boundary(b)) {
-            prop_assert_eq!(
-                cache.count_prefix(&tok, upto),
-                tok.count_per_char(&prompt[..upto]),
-                "prefix count diverged at byte {}",
-                upto
-            );
-        }
+        every_prefix_equals_reference(&segments.concat())?;
     }
 }
 

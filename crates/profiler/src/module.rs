@@ -125,9 +125,10 @@ pub enum Phase {
     ActRetry,
 }
 
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+impl Phase {
+    /// The phase's ledger key, as [`fmt::Display`] prints it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Phase::Work => "work",
             Phase::LlmInference => "llm-inference",
             Phase::Retrieval => "retrieval",
@@ -146,8 +147,13 @@ impl fmt::Display for Phase {
             Phase::Shed => "shed",
             Phase::Reobserve => "reobserve",
             Phase::ActRetry => "act-retry",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for Phase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -27,9 +27,10 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-echo "== tokenizer kernel vs per-char reference, release (no overflow checks) =="
+echo "== tokenizer kernel vs per-char reference + memory-window counts, release (no overflow checks) =="
 cargo test --release -q -p embodied-llm --test tokenizer_props
 cargo test --release -q -p embodied-llm --lib tokenizer
+cargo test --release -q -p embodied-agents --lib memory
 
 echo "== determinism table + fleet determinism (EMBODIED_JOBS=4) =="
 EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism --test fleet_determinism

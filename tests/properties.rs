@@ -21,19 +21,6 @@ proptest! {
         prop_assert!(tok.count(&a) > 0);
     }
 
-    /// Truncation never exceeds the budget and is idempotent.
-    #[test]
-    fn tokenizer_truncation_respects_budget(
-        text in "[a-z]{1,10}( [a-z]{1,10}){0,40}",
-        budget in 1u64..30
-    ) {
-        let tok = Tokenizer::default();
-        let cut = tok.truncate_to(&text, budget);
-        prop_assert!(tok.count(&cut) <= budget);
-        let recut = tok.truncate_to(&cut, budget);
-        prop_assert_eq!(recut, cut);
-    }
-
     /// SimDuration addition is commutative and monotone.
     #[test]
     fn sim_duration_algebra(a in 0u64..1_000_000_000, b in 0u64..1_000_000_000) {
