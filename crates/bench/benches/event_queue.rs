@@ -2,7 +2,7 @@
 //! peek on the typed event queue at 10^3–10^5 pending events.
 //!
 //! The fleet runner keeps one `EventQueue` hot for the whole run — every
-//! step, decode completion and window close goes through it — so its heap
+//! episode arrival, step and window close goes through it — so its heap
 //! operations sit on the contention sweep's critical path.
 //! `scripts/verify.sh --bench` replays these in quick mode.
 
@@ -22,15 +22,12 @@ fn pseudo_time(i: u64) -> SimInstant {
 }
 
 fn event_for(i: u64) -> SimEvent {
-    match i % 4 {
+    match i % 3 {
         0 => SimEvent::RequestArrival {
             episode: i as usize % 64,
         },
         1 => SimEvent::AgentStepReady {
             episode: i as usize % 64,
-        },
-        2 => SimEvent::DecodeFinish {
-            backend: i as usize % 8,
         },
         _ => SimEvent::BatchWindowClose,
     }

@@ -7,8 +7,10 @@
 //! * **batching** — co-arriving same-phase requests share one batched bill
 //!   with amortized attribution and prefix reuse, so per-step planning
 //!   latency improves with team size;
-//! * **concurrency** — fewer simulated server slots than agents makes
-//!   queueing delay appear in the step critical path.
+//! * **concurrency** — a slot limit books each call on the backend at its
+//!   trace instant; within one episode the calls are issued one after
+//!   another, so the limit alone never queues (`contention_sweep` shares
+//!   the slots across episodes).
 //!
 //! ```text
 //! cargo run --release -p embodied-bench --bin serving_sweep [-- --smoke]
@@ -140,12 +142,12 @@ fn main() {
          (COHERENT) fan-out into one shared bill — the batched module's \
          per-step latency drops as the team grows, and every batch member \
          past the first reuses the shared system-preamble prefix. \
-         Concurrency limits move the cost the other way: with fewer \
-         simulated server slots than agents, requests wait for a slot and \
-         queueing delay lands in the step critical path (C=1 is the \
-         degenerate one-GPU-per-team deployment; C=2 halves the wait). \
-         Concurrency limits reshape time attribution only — decisions, \
-         success and step counts match the serving-off rows exactly. \
+         Concurrency limits cost a single episode nothing: every call books \
+         the backend at its own trace instant, and the episode issues its \
+         calls one after another (agent i+1's prompt depends on agent i's \
+         message or execution), so each request finds the previous one \
+         finished and the C=1/C=2 rows match serving-off exactly. Slots \
+         become scarce only when episodes share them (contention_sweep). \
          Batching on the *decentralized* loop is a real semantic shift, \
          not just cheaper accounting: concurrently-planned agents cannot \
          see teammates' same-step executions (the interleaved legacy loop \

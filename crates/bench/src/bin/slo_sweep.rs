@@ -8,10 +8,11 @@
 //! * **hedging** — a browned-out or backlogged placement duplicates the
 //!   request onto a second replica and the first completion wins; tail
 //!   latency drops, but both replicas' tokens are billed;
-//! * **shedding** — past a queue-depth threshold, low-priority calls
-//!   (reflection, communication, summarization) are rejected before they
-//!   reach an engine; deadlines are met more often, at the price of
-//!   degraded decisions and success rate.
+//! * **shedding** — once a threshold of placements is still in service,
+//!   low-priority calls (reflection, communication, summarization) are
+//!   rejected before they reach an engine. A single episode's calls are
+//!   serialized and never overlap on the backend, so only episodes that
+//!   share a service ever shed.
 //!
 //! ```text
 //! cargo run --release -p embodied-bench --bin slo_sweep [-- --smoke]
@@ -184,15 +185,15 @@ fn main() {
          dodged, and p95 drops back toward the healthy tail — but the loser \
          replica's tokens are billed too, which is the Δ cost premium. \
          Shedding refuses low-priority calls (reflection, communication, \
-         summarization) once the per-step queue backs up: deadline misses \
-         and queueing fall, SLO attainment rises, but the agents plan with \
-         degraded context, which shows up as extra steps or lost episodes — \
-         the classic availability-for-quality trade. Hedge+shed composes \
-         both: the tail protection of hedging with the admission control of \
-         shedding. Shed-all is the degenerate end of that spectrum — with \
-         no headroom the backend sheds planning itself, the SLO is met by \
-         refusing the work, and the episodes collapse to fallback behavior: \
-         perfect attainment, worthless decisions. Crashes in the stressed \
+         summarization) once enough placements are still in service when \
+         the call arrives. One episode issues its calls one after another, \
+         each arriving after the previous one completed, so none of its \
+         own placements is ever in service when the next call arrives: \
+         nothing is shed even at threshold 1, and the shed, hedge+shed and \
+         shed-all rows repeat the none and hedge rows. Admission control \
+         only bites where episodes share a backend (a fleet; see \
+         contention_sweep). With one placement in service at a time, the \
+         third replica adds nothing over two. Crashes in the stressed \
          scenario add failover penalties and cold-restart windows on top; \
          hedging also covers the failover path since the duplicate lands \
          on a live replica.",

@@ -15,8 +15,8 @@
 //! in `fleet_determinism.rs`.
 
 use embodied_agents::{
-    episode_seed, run_episode, workloads, AgentFaultProfile, ChannelProfile, RecoveryPolicy,
-    RepairPolicy, RunOverrides,
+    episode_seed, run_episode, run_fleet, workloads, AgentFaultProfile, ChannelProfile,
+    FleetConfig, RecoveryPolicy, RepairPolicy, RunOverrides,
 };
 use embodied_bench::{par_map_with, SweepPlan};
 use embodied_env::{EnvFaultProfile, TaskDifficulty};
@@ -346,17 +346,27 @@ fn batched_runs_replay_and_count() {
     }
 }
 
+/// The reports of one `EPISODES`-episode fleet sharing one service, where
+/// the episodes contend for its slots.
+fn fleet_reports(spec_name: &str, overrides: &RunOverrides) -> Vec<EpisodeReport> {
+    let spec = workloads::find(spec_name).expect("suite member");
+    run_fleet(
+        &spec,
+        overrides,
+        EPISODES,
+        BASE_SEED,
+        FleetConfig::default(),
+    )
+    .reports
+}
+
 /// Queueing delay is monotone as slots get scarcer, and unbounded
 /// concurrency never queues.
 #[test]
 fn queue_delay_monotone_in_scarcity() {
-    let spec = workloads::find("CoELA").expect("suite member");
     let mut delays = Vec::new();
     for concurrency in [1, 2, 8] {
-        let o = serving(ServingConfig::limited(concurrency));
-        let reports: Vec<_> = (0..EPISODES)
-            .map(|i| run_episode(&spec, &o, episode_seed(BASE_SEED, i)))
-            .collect();
+        let reports = fleet_reports("CoELA", &serving(ServingConfig::limited(concurrency)));
         let total: u64 = reports
             .iter()
             .map(|r| r.serving.queue_delay.as_micros())
@@ -369,9 +379,8 @@ fn queue_delay_monotone_in_scarcity() {
     );
     assert!(delays[0] > 0, "one slot for a team must queue");
 
-    let unbounded = serving(ServingConfig::disabled());
-    for i in 0..EPISODES {
-        let r = run_episode(&spec, &unbounded, episode_seed(BASE_SEED, i));
+    let unbounded = fleet_reports("CoELA", &serving(ServingConfig::disabled()));
+    for (i, r) in unbounded.iter().enumerate() {
         assert!(
             r.serving.queue_delay.is_zero(),
             "unbounded concurrency queued on episode {i}"
@@ -385,21 +394,14 @@ fn queue_delay_monotone_in_scarcity() {
 fn slo_runs_replay_and_fire() {
     let overrides = stressed_serving();
     for name in ["CoELA", "COHERENT"] {
-        let spec = workloads::find(name).expect("suite member");
-        let seed = episode_seed(BASE_SEED, 0);
-        let a = run_episode(&spec, &overrides, seed);
-        let b = run_episode(&spec, &overrides, seed);
+        let a = fleet_reports(name, &overrides);
+        let b = fleet_reports(name, &overrides);
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),
             "{name}: faulted+resilient replay diverged"
         );
-        let agg = {
-            let reports = par_map_with(1, EPISODES, |i| {
-                run_episode(&spec, &overrides, episode_seed(BASE_SEED, i))
-            });
-            Aggregate::from_reports(name, &reports)
-        };
+        let agg = Aggregate::from_reports(name, &a);
         assert!(
             agg.serving_faults.faults() > 0,
             "{name}: stressed profile injected nothing"

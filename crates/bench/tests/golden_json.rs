@@ -12,7 +12,7 @@ use embodied_bench::{RetryPreset, ServingPreset};
 use embodied_env::{BoxVariant, EnvFaultProfile, TaskDifficulty, TrajectoryPlanner};
 use embodied_llm::{
     FaultProfile, FleetConfig, FleetSummary, ModelProfile, Quantization, RetryPolicy,
-    SemanticFaultProfile, ServingConfig, ServingFaultProfile,
+    SemanticFaultProfile, ServingConfig, ServingFaultProfile, MAX_SERVING_WIDTH,
 };
 use embodied_profiler::{FromJson, JsonValue, SimDuration, ToJson};
 use std::fmt::Debug;
@@ -267,6 +267,20 @@ fn out_of_range_values_are_rejected_by_name() {
         "decode_events",
         num(5.0),
     );
+}
+
+#[test]
+fn serving_widths_past_the_ceiling_are_rejected() {
+    // One slot per unit of concurrency on every replica: a width past the
+    // ceiling would allocate without bound, so it never parses.
+    let past = JsonValue::Num(f64::from(MAX_SERVING_WIDTH) + 1.0);
+    rejects(
+        "ServingConfig",
+        ServingConfig::default(),
+        "concurrency",
+        past.clone(),
+    );
+    rejects("ServingConfig", ServingConfig::default(), "replicas", past);
 }
 
 #[test]

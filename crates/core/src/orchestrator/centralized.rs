@@ -195,6 +195,7 @@ pub(crate) fn plan_assignments(
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     let central_tenant = central.planning.engine().tenant();
     let expected_output = 60 + 45 * n as u64;
+    sys.service.set_cursor(sys.scope, sys.trace.now());
     let result = central.planning.engine_mut().infer(
         LlmRequest::counted(
             Purpose::Planning,
@@ -303,6 +304,7 @@ fn guard_assignments(
         let mut stats = RepairStats::default();
         let central = sys.central.as_mut().expect("centralized system");
         let central_tenant = central.planning.engine().tenant();
+        sys.service.set_cursor(sys.scope, sys.trace.now());
         let verdict = guardrail::guard_decision(
             central.planning.engine_mut(),
             policy,
@@ -395,6 +397,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             return;
         };
         let comm_tenant = comm.engine().tenant();
+        sys.service.set_cursor(sys.scope, sys.trace.now());
         let result = comm.generate(
             i,
             &central.preamble,
@@ -467,6 +470,7 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         .enumerate()
         .map(|(i, sg)| format!("agent {i}: {sg}"))
         .collect();
+    sys.service.set_cursor(sys.scope, sys.trace.now());
     let result = comm.generate(
         usize::MAX, // the center itself
         &central.preamble,

@@ -68,6 +68,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             agent.render_dialogue();
             let comm = agent.communication.as_mut().expect("checked above");
             let comm_tenant = comm.engine().tenant();
+            sys.service.set_cursor(sys.scope, sys.trace.now());
             let result = comm.generate(
                 i,
                 &agent.preamble,

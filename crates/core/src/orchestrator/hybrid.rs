@@ -46,6 +46,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
         let status = format!("{} | primed task: {}", percepts[i].text, primer[i]);
         let comm = agent.communication.as_mut().expect("checked above");
+        sys.service.set_cursor(sys.scope, sys.trace.now());
         let result = comm.generate(
             i,
             &agent.preamble,

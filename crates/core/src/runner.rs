@@ -6,7 +6,8 @@ use crate::system::EmbodiedSystem;
 use crate::workloads::WorkloadSpec;
 use embodied_env::TaskDifficulty;
 use embodied_llm::{
-    FleetConfig, FleetSummary, InferenceService, ModelProfile, SimEvent, WindowShare,
+    EventQueue, FleetConfig, FleetSummary, InferenceService, ModelProfile, SimEvent, VirtualClock,
+    WindowShare,
 };
 use embodied_profiler::{
     Aggregate, EpisodeReport, FromJson, JsonError, JsonValue, SimInstant, ToJson,
@@ -281,6 +282,7 @@ fn admit_episode(
     num_agents: usize,
     base_seed: u64,
     service: &InferenceService,
+    events: &mut EventQueue,
     slots: &mut [Option<FleetSlot>],
     episode: usize,
     at: SimInstant,
@@ -294,14 +296,16 @@ fn admit_episode(
         service,
         episode,
     );
-    service.push_fleet_event(at, SimEvent::AgentStepReady { episode });
+    events.push(at, SimEvent::AgentStepReady { episode });
     slots[episode] = Some(FleetSlot { system, base: at });
 }
 
 /// Runs `episodes` staggered episodes of `spec` multiplexed onto **one**
-/// shared inference service and **one** virtual clock — the fleet regime,
-/// where serving contention (queueing, batching, faults) spans episodes
-/// instead of being reset per run.
+/// shared inference service — the fleet regime, where serving contention
+/// (queueing, batching, faults) spans episodes. Each episode books the
+/// service at its own scope, on the same absolute timeline a standalone
+/// episode books at scope 0, so a one-episode fleet without batching
+/// reproduces [`run_episode`].
 ///
 /// The discrete-event loop pops `(virtual-time, sequence-id)`-ordered
 /// events: `RequestArrival` admits an episode (or queues it behind
@@ -332,9 +336,11 @@ pub fn run_fleet(
         None => spec.clone(),
     };
     let service = InferenceService::with_seed(config.serving, base_seed);
-    service.enable_fleet(fleet, episodes);
+    let mut events = EventQueue::new();
+    let mut clock = VirtualClock::new();
+    let mut popped = 0u64;
     for i in 0..episodes {
-        service.push_fleet_event(
+        events.push(
             SimInstant::EPOCH + fleet.stagger * i as u64,
             SimEvent::RequestArrival { episode: i },
         );
@@ -345,22 +351,32 @@ pub fn run_fleet(
     let mut waiting: VecDeque<usize> = VecDeque::new();
     let mut active = 0usize;
     let mut close_scheduled = false;
-    while let Some(ev) = service.pop_fleet_event() {
+    while let Some(ev) = events.pop() {
+        clock.advance_to(ev.at);
+        popped += 1;
         match ev.event {
             SimEvent::RequestArrival { episode } => {
                 let cap = fleet.max_sessions as usize;
                 if cap == 0 || active < cap {
                     active += 1;
                     admit_episode(
-                        &spec, &config, difficulty, num_agents, base_seed, &service, &mut slots,
-                        episode, ev.at,
+                        &spec,
+                        &config,
+                        difficulty,
+                        num_agents,
+                        base_seed,
+                        &service,
+                        &mut events,
+                        &mut slots,
+                        episode,
+                        ev.at,
                     );
                 } else {
                     waiting.push_back(episode);
                 }
             }
             SimEvent::AgentStepReady { episode } => {
-                service.set_fleet_scope(episode);
+                service.set_scope(episode);
                 let slot = slots[episode]
                     .as_mut()
                     .expect("step-ready for an unadmitted episode");
@@ -371,14 +387,11 @@ pub fn run_fleet(
                         if !close_scheduled {
                             close_scheduled = true;
                             let gnow = slot.base + slot.system.trace().elapsed();
-                            service.push_fleet_event(
-                                gnow + fleet.batch_window,
-                                SimEvent::BatchWindowClose,
-                            );
+                            events.push(gnow + fleet.batch_window, SimEvent::BatchWindowClose);
                         }
                     } else {
                         let gnow = slot.base + slot.system.trace().elapsed();
-                        service.push_fleet_event(gnow, SimEvent::AgentStepReady { episode });
+                        events.push(gnow, SimEvent::AgentStepReady { episode });
                     }
                 } else {
                     let slot = slots[episode].take().expect("slot vanished mid-episode");
@@ -389,13 +402,13 @@ pub fn run_fleet(
                     reports[episode] = Some(slot.system.report());
                     active -= 1;
                     if let Some(next) = waiting.pop_front() {
-                        service.push_fleet_event(ev.at, SimEvent::RequestArrival { episode: next });
+                        events.push(ev.at, SimEvent::RequestArrival { episode: next });
                     }
                 }
             }
             SimEvent::BatchWindowClose => {
                 close_scheduled = false;
-                let shares = service.close_fleet_window(ev.at);
+                let shares = service.close_window(ev.at);
                 // Settle per episode, preserving submission order within
                 // each scope and first-appearance order across scopes — both
                 // deterministic, so resume-event sequence ids are too.
@@ -407,21 +420,21 @@ pub fn run_fleet(
                     }
                 }
                 for (scope, scope_shares) in by_scope {
-                    service.set_fleet_scope(scope);
+                    service.set_scope(scope);
                     let slot = slots[scope]
                         .as_mut()
                         .expect("window share for a retired episode");
                     slot.system.settle_fleet_shares(&scope_shares);
                     let gnow = slot.base + slot.system.trace().elapsed();
-                    service.push_fleet_event(gnow, SimEvent::AgentStepReady { episode: scope });
+                    events.push(gnow, SimEvent::AgentStepReady { episode: scope });
                 }
-            }
-            SimEvent::DecodeFinish { .. } | SimEvent::ReplicaRestart { .. } => {
-                unreachable!("substrate events are consumed inside pop_fleet_event")
             }
         }
     }
-    let summary = service.fleet_summary();
+    let mut summary = service.fleet_summary();
+    summary.sessions = episodes as u64;
+    summary.events += popped;
+    summary.makespan = summary.makespan.max(clock.elapsed());
     let reports = reports
         .into_iter()
         .enumerate()
@@ -677,6 +690,9 @@ mod tests {
         // One saturated replica pair under heavy brownouts: hedges race the
         // slow primary, and the shed threshold rejects low-priority calls
         // while every paradigm path survives on its degradation fallbacks.
+        // One episode's calls never overlap on the backend, so the
+        // contention that admission control reads comes from a 4-episode
+        // fleet sharing the pair.
         let spec = find("CoELA").unwrap();
         let overrides = RunOverrides {
             difficulty: Some(TaskDifficulty::Easy),
@@ -689,29 +705,32 @@ mod tests {
             serving_faults: Some(embodied_llm::ServingFaultProfile::brownouts(0.8)),
             ..Default::default()
         };
-        let report = run_episode(&spec, &overrides, 11);
-        assert!(report.steps > 0, "episode survives shed/hedge paths");
+        let fleet = run_fleet(&spec, &overrides, 4, 11, FleetConfig::default());
+        let mut faults = embodied_profiler::ServingFaultStats::default();
+        for report in &fleet.reports {
+            assert!(report.steps > 0, "episode survives shed/hedge paths");
+            faults.merge(&report.serving_faults);
+        }
         assert!(
-            report.serving_faults.hedges() > 0,
-            "brownouts past the hedge trigger: {}",
-            report.serving_faults
+            faults.hedges() > 0,
+            "brownouts past the hedge trigger: {faults}"
         );
         assert!(
-            report.serving_faults.shed > 0,
-            "depth-1 threshold must shed on a multi-call step: {}",
-            report.serving_faults
+            faults.shed > 0,
+            "depth-1 threshold must shed on a multi-call step: {faults}"
         );
         assert!(
-            report.serving_faults.hedge_tokens > 0,
+            faults.hedge_tokens > 0,
             "hedge duplicates bill their tokens"
         );
         let quiet = RunOverrides {
             difficulty: Some(TaskDifficulty::Easy),
             ..Default::default()
         };
-        let baseline = run_episode(&spec, &quiet, 11);
+        let baseline = run_fleet(&spec, &quiet, 4, 11, FleetConfig::default());
+        let cost = |f: &FleetReport| f.reports.iter().map(|r| r.tokens.cost_usd).sum::<f64>();
         assert!(
-            report.tokens.cost_usd < baseline.tokens.cost_usd * 2.0,
+            cost(&fleet) < cost(&baseline) * 2.0,
             "shedding offsets the hedge premium"
         );
     }
@@ -839,8 +858,8 @@ mod tests {
 
     #[test]
     fn single_episode_fleet_matches_the_per_episode_runner() {
-        // With serving pass-through and one session, the virtual-time loop
-        // is pure re-plumbing: the report must match `run_episode` exactly.
+        // With one session, the event loop is pure re-plumbing: the report
+        // must match `run_episode` exactly.
         let spec = find("DEPS").unwrap();
         let overrides = RunOverrides {
             difficulty: Some(TaskDifficulty::Easy),

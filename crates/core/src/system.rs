@@ -107,11 +107,13 @@ pub struct EmbodiedSystem {
     /// tenant of — owns the engine stacks, the per-tenant ledger, and the
     /// per-model scheduling backends.
     pub(crate) service: InferenceService,
-    /// The fleet episode scope this system's tenants registered under, or
-    /// `None` outside fleet mode. With a scope set, serving windows defer
-    /// their close to the fleet runner's `BatchWindowClose` event and the
-    /// report reads the scoped ledgers.
-    pub(crate) fleet_scope: Option<usize>,
+    /// The service scope this episode's tenants registered under and its
+    /// report reads (0 for a standalone episode).
+    pub(crate) scope: usize,
+    /// Whether other episodes share the service (the fleet runner): serving
+    /// windows then stay open for the runner's `BatchWindowClose` instead
+    /// of closing at this episode's fan-out.
+    pub(crate) shared_service: bool,
     /// System-level scheduling knobs (cached from the first agent config;
     /// serving is a property of the shared stack, not of one agent).
     pub(crate) serving: ServingConfig,
@@ -145,29 +147,28 @@ impl EmbodiedSystem {
         // The serving fault plane draws from its own salted stream derived
         // from the episode seed — independent of every engine stream.
         let service = InferenceService::with_seed(config.serving, seed);
-        Self::with_shared_service(workload, env, config, paradigm, seed, service, None)
+        Self::with_service(workload, env, config, paradigm, seed, service, 0, false)
     }
 
-    /// Assembles a system whose engines register as tenants of an
-    /// *existing* service — the fleet path, where N episodes share one
-    /// serving stack. `fleet_scope` stamps every tenant with its episode
-    /// scope; the single-episode [`EmbodiedSystem::new`] passes `None` and
-    /// a private service, making it the exact legacy construction.
-    pub(crate) fn with_shared_service(
+    /// Assembles a system whose engines register as tenants of `service`
+    /// under episode `scope`. [`EmbodiedSystem::new`] passes a private
+    /// service and scope 0; the fleet runner passes the one service its
+    /// episodes share (`shared`), with one scope per episode.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_service(
         workload: impl Into<String>,
         env: Box<dyn Environment>,
         config: &AgentConfig,
         paradigm: Paradigm,
         seed: u64,
         service: InferenceService,
-        fleet_scope: Option<usize>,
+        scope: usize,
+        shared: bool,
     ) -> Self {
         let workload = workload.into();
         let landmarks = env.landmarks();
-        if let Some(scope) = fleet_scope {
-            // Tenants registered below must carry this episode's scope.
-            service.set_fleet_scope(scope);
-        }
+        // Tenants registered below must carry this episode's scope.
+        service.set_scope(scope);
         let agents: Vec<ModularAgent> = (0..env.num_agents())
             .map(|id| {
                 ModularAgent::new(
@@ -245,7 +246,8 @@ impl EmbodiedSystem {
             recovery_stats: RecoveryStats::default(),
             last_progress: vec![0; team],
             service,
-            fleet_scope,
+            scope,
+            shared_service: shared,
             serving: config.serving,
             window_entries: Vec::new(),
             workload,
@@ -314,11 +316,6 @@ impl EmbodiedSystem {
             return false;
         }
         self.trace.begin_step(self.step);
-        if self.serving_active() {
-            // The step loop is a synchronization barrier: backend
-            // queues never carry over into the next step.
-            self.service.begin_step();
-        }
         self.counters = StepCounters::default();
         let before = self.trace.elapsed();
         self.begin_fault_step();
@@ -351,22 +348,16 @@ impl EmbodiedSystem {
             Outcome::StepLimit
         };
         // The service ledger covers every engine in the system — agents
-        // and central alike — so accounting cannot drift from wiring. In
-        // fleet mode every query narrows to this episode's scope: the
-        // shared service hosts N episodes' tenants at once.
-        let tokens = match self.fleet_scope {
-            Some(scope) => self.service.total_usage_for_scope(scope),
-            None => self.service.total_usage(),
-        };
+        // and central alike — so accounting cannot drift from wiring. Every
+        // query narrows to this episode's scope: a shared service hosts
+        // other episodes' tenants too.
+        let tokens = self.service.total_usage_for_scope(self.scope);
         let mut by_phase = PurposeLedger::default();
         for span in self.trace.spans() {
             by_phase.record(span.phase.as_str(), span.duration, 0, 0);
         }
         let mut resilience = self.degradations;
-        resilience.merge(&match self.fleet_scope {
-            Some(scope) => self.service.total_resilience_for_scope(scope),
-            None => self.service.total_resilience(),
-        });
+        resilience.merge(&self.service.total_resilience_for_scope(self.scope));
         EpisodeReport {
             workload: self.workload.clone(),
             outcome,
@@ -381,14 +372,8 @@ impl EmbodiedSystem {
             agent_faults: self.agent_faults.stats,
             channel: self.channel.stats,
             repairs: self.repairs,
-            serving: match self.fleet_scope {
-                Some(scope) => self.service.scope_stats(scope),
-                None => self.service.stats(),
-            },
-            serving_faults: match self.fleet_scope {
-                Some(scope) => self.service.scope_fault_stats(scope),
-                None => self.service.fault_stats(),
-            },
+            serving: self.service.scope_stats(self.scope),
+            serving_faults: self.service.scope_fault_stats(self.scope),
             env_faults: self.env.env_fault_stats(),
             recovery: self.recovery_stats,
             step_records: self.step_records.clone(),
@@ -397,12 +382,6 @@ impl EmbodiedSystem {
     }
 
     // ----- shared inference-service scheduling -----
-
-    /// Whether the serving layer schedules anything at all this episode.
-    /// While false (the default), every call takes the legacy path.
-    pub(crate) fn serving_active(&self) -> bool {
-        !self.serving.is_passthrough()
-    }
 
     /// Whether cross-tenant batch windows are enabled.
     pub(crate) fn serving_batching(&self) -> bool {
@@ -420,17 +399,19 @@ impl EmbodiedSystem {
     /// span on the member that led a queued batch) and is only now fed
     /// into the step counters / per-purpose ledger, at its share latency.
     pub(crate) fn close_serving_window(&mut self) {
-        if self.fleet_scope.is_some() {
-            // Fleet mode: the window lives on the shared virtual clock and
-            // only the runner's `BatchWindowClose` event may close it —
-            // possibly merging this episode's calls with another's. The
-            // deferred entries stay parked until `settle_fleet_shares`.
+        if self.shared_service {
+            // Only the fleet runner's `BatchWindowClose` event may close a
+            // shared window, possibly merging this episode's calls with
+            // another's. The deferred entries stay parked until
+            // `settle_fleet_shares`.
             return;
         }
+        // A private service's scope 0 is anchored at the epoch, so the
+        // episode-local instant is the service's global one.
         let shares = self.service.close_window(self.trace.now());
         let entries = std::mem::take(&mut self.window_entries);
         debug_assert_eq!(shares.len(), entries.len());
-        for (entry, share) in entries.into_iter().zip(shares) {
+        for (entry, (_, share)) in entries.into_iter().zip(shares) {
             if !share.queue.is_zero() {
                 self.trace
                     .record(entry.module, Phase::Queue, entry.agent, share.queue);
@@ -651,6 +632,7 @@ impl EmbodiedSystem {
              task goal ({goal}), then resume joint planning.",
             central.preamble.as_str()
         );
+        self.service.set_cursor(self.scope, self.trace.now());
         let result = central.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40 + 10 * n as u64)
                 .with_difficulty(difficulty)
@@ -820,6 +802,7 @@ impl EmbodiedSystem {
              misperceived object.",
             agent.preamble.as_str()
         );
+        self.service.set_cursor(self.scope, self.trace.now());
         let result = agent.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40)
                 .with_difficulty(difficulty)
@@ -951,6 +934,7 @@ impl EmbodiedSystem {
         let opts = Self::infer_opts_for(&agent.config, team_size);
         let reflection = agent.reflection.as_mut().expect("checked above");
         let refl_tenant = reflection.engine().tenant();
+        self.service.set_cursor(self.scope, self.trace.now());
         let result = reflection.reflect(&agent.preamble, subgoal, &outcome, difficulty, opts);
         let stall = reflection.engine_mut().take_stall();
         Self::note_stall(&mut self.trace, ModuleKind::Reflection, i, stall);
@@ -1088,6 +1072,7 @@ impl EmbodiedSystem {
             repeat_bias: agent.last_failure.as_ref().map(|(sg, _)| sg.clone()),
             failure_streak: agent.failure_streak,
         };
+        self.service.set_cursor(self.scope, self.trace.now());
         let planned = agent.planning.plan(&ctx);
         let stall = agent.planning.engine_mut().take_stall();
         Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
@@ -1124,6 +1109,7 @@ impl EmbodiedSystem {
         };
 
         if agent.config.separate_action_selection {
+            self.service.set_cursor(self.scope, self.trace.now());
             let selected = agent.planning.select_action(&ctx, decision.clone());
             let stall = agent.planning.engine_mut().take_stall();
             Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
@@ -1155,6 +1141,7 @@ impl EmbodiedSystem {
         // plan that is recognized as wrong triggers one replanning pass.
         if let Some(reflection) = agent.reflection.as_mut() {
             let refl_tenant = reflection.engine().tenant();
+            self.service.set_cursor(self.scope, self.trace.now());
             let verified = reflection.verify_plan(
                 &agent.preamble,
                 &decision.subgoal,
@@ -1179,6 +1166,7 @@ impl EmbodiedSystem {
                     );
                     responses.push(verify_response);
                     if caught {
+                        self.service.set_cursor(self.scope, self.trace.now());
                         let replanned = agent.planning.plan(&ctx);
                         let stall = agent.planning.engine_mut().take_stall();
                         Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
@@ -1236,6 +1224,7 @@ impl EmbodiedSystem {
         if flaw.is_some() || !policy.is_off() {
             let affordances = self.env.affordances(i);
             let mut stats = RepairStats::default();
+            self.service.set_cursor(self.scope, self.trace.now());
             let verdict = crate::guardrail::guard_decision(
                 agent.planning.engine_mut(),
                 policy,
@@ -1308,6 +1297,7 @@ impl EmbodiedSystem {
         let difficulty = self.env.difficulty().scalar();
         let agent = &mut self.agents[i];
         let opts = Self::infer_opts_for(&agent.config, team_size);
+        self.service.set_cursor(self.scope, self.trace.now());
         let report = agent
             .execution
             .execute(

@@ -169,9 +169,9 @@ impl WorkloadSpec {
     }
 
     /// [`Self::build_system`], but registering the episode's engines as
-    /// tenants of an existing shared service under fleet scope `scope` —
+    /// tenants of an existing shared service under episode scope `scope` —
     /// the fleet-runner path, where N concurrent episodes contend for one
-    /// serving stack on a single virtual clock.
+    /// serving stack on a single timeline.
     pub(crate) fn build_system_in_fleet(
         &self,
         config: &AgentConfig,
@@ -189,14 +189,15 @@ impl WorkloadSpec {
                 seed,
             ));
         }
-        EmbodiedSystem::with_shared_service(
+        EmbodiedSystem::with_service(
             self.name,
             env,
             config,
             self.paradigm,
             seed,
             service.clone(),
-            Some(scope),
+            scope,
+            true,
         )
     }
 }

@@ -1,10 +1,11 @@
-//! The fleet's global virtual clock: one monotone simulated timeline that
-//! every concurrently running episode maps its local trace time onto.
+//! A global virtual clock: one monotone reading on the simulated timeline
+//! that every episode maps its local trace time onto.
 //!
 //! Per-episode [`embodied_profiler::SimClock`]s remain the source of truth
-//! for *local* span timestamps; the virtual clock only tracks the furthest
-//! instant the shared serving substrate has reached, so event pops and
-//! placements always observe a non-decreasing "now".
+//! for *local* span timestamps. A virtual clock only tracks the furthest
+//! instant something has reached: the fleet runner's event pops, or the
+//! serving scheduler's latest booking, so each observes a non-decreasing
+//! "now".
 
 use embodied_profiler::{SimDuration, SimInstant};
 
@@ -12,8 +13,8 @@ use embodied_profiler::{SimDuration, SimInstant};
 ///
 /// Unlike a per-episode [`embodied_profiler::SimClock`], which advances by
 /// recorded span durations, the virtual clock advances *to* absolute
-/// instants — event timestamps popped from the
-/// [`crate::EventQueue`] — and refuses to move backwards: episodes execute
+/// instants — event timestamps popped from the [`crate::EventQueue`], or
+/// booking instants — and refuses to move backwards: episodes execute
 /// their steps atomically at pop time, so an earlier-timestamped event may
 /// be processed after a later step finished (the coarse-grained
 /// step-granularity simplification the fleet runner documents).

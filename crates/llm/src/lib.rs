@@ -63,7 +63,7 @@ pub use profile::{Deployment, EncoderProfile, ModelProfile};
 pub use quality::QualityModel;
 pub use request::{LlmRequest, LlmResponse, Purpose};
 pub use resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
-pub use scheduler::ServingConfig;
+pub use scheduler::{ServingConfig, MAX_SERVING_WIDTH};
 pub use semantic::{SemanticFaultInjector, SemanticFaultKind, SemanticFaultProfile, SemanticFlaw};
 pub use service::{
     EngineBuilder, EngineHandle, InferenceService, ServeOutcome, TenantId, TenantOwner, WindowShare,

@@ -1,7 +1,7 @@
 //! The shared inference service: ownership-inverted engine stacks behind
-//! per-tenant handles, with step-scoped batching, queueing and
-//! prefix-cache accounting (paper Rec. 1: batching, KV-prefix reuse,
-//! shared endpoints).
+//! per-tenant handles, with batching, queueing and prefix-cache accounting
+//! on one absolute simulated timeline (paper Rec. 1: batching, KV-prefix
+//! reuse, shared endpoints).
 //!
 //! Modules no longer own their engines. They hold an [`EngineHandle`]
 //! registered against an [`InferenceService`], which keeps one scheduling
@@ -11,16 +11,15 @@
 //! the old module-owned layout in every serving mode — scheduling only
 //! re-attributes *time*, never *randomness*.
 
-use crate::clock::VirtualClock;
 use crate::engine::{LlmEngine, LlmError};
 use crate::fault::FaultProfile;
 use crate::latency::{amortize_latency, batch_latency, InferenceOpts};
 use crate::profile::ModelProfile;
 use crate::request::{LlmRequest, LlmResponse, Purpose};
 use crate::resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
-use crate::scheduler::{BackendQueue, FleetBackend, PlacementOutcome, ServingConfig};
+use crate::scheduler::{Backend, PlacementOutcome, ServingConfig};
 use crate::serving_faults::ServingFaultInjector;
-use crate::sim::{EventQueue, FleetConfig, FleetSummary, ScheduledEvent, SimEvent};
+use crate::sim::FleetSummary;
 use crate::tokenizer::Tokenizer;
 use embodied_profiler::{
     ResilienceStats, ServingFaultStats, ServingStats, SimDuration, SimInstant, TokenStats,
@@ -86,7 +85,7 @@ pub enum TenantOwner {
 }
 
 /// Per-member outcome of a closed batch window, in submission order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WindowShare {
     /// The member's amortized share of its batch's latency bill.
     pub share: SimDuration,
@@ -99,18 +98,10 @@ struct Tenant {
     engine: ResilientEngine,
     owner: TenantOwner,
     backend: usize,
-    /// Fleet episode scope the tenant belongs to (always 0 outside fleet
-    /// mode). Owner ids restart at 0 in every episode, so per-owner
-    /// queries must also match on scope when episodes share one service.
+    /// Episode scope the tenant belongs to. Owner ids restart at 0 in every
+    /// episode, so per-owner queries also match on scope when episodes
+    /// share one service.
     scope: usize,
-}
-
-struct Backend {
-    profile: ModelProfile,
-    queue: BackendQueue,
-    /// Placements accepted this step — the admission-control signal for
-    /// load shedding. Reset at every step boundary.
-    depth: u32,
 }
 
 /// What the serving tier charged one non-batched placement: the span
@@ -141,58 +132,26 @@ struct Window {
     members: Vec<WindowMember>,
 }
 
-/// Per-episode serving ledger of a fleet: the counters that in
-/// single-episode mode live directly on [`ServiceInner`], split per scope
-/// so each episode's report stays attributable under shared-stack load.
+/// One episode's anchor on the service timeline and its serving ledger,
+/// kept per scope so each episode's report stays attributable when
+/// episodes share one service.
 #[derive(Debug, Clone, Default)]
-struct ScopeLedger {
+struct Scope {
+    /// Global instant of the episode's local time zero: local trace time
+    /// `t` lives at `base + t`.
+    base: SimInstant,
+    /// Episode-local instant the scope's next call arrives at (its trace
+    /// cursor, set by [`InferenceService::set_cursor`]): where admission
+    /// control reads the backlog.
+    cursor: SimInstant,
     stats: ServingStats,
     fault_stats: ServingFaultStats,
+    /// Tokens billed to hedged duplicates, merged into the usage ledgers
+    /// so the hedge premium shows up in every token/$ report.
     hedge_usage: TokenStats,
 }
 
-/// Fleet-mode state: the global virtual clock, the typed event queue, and
-/// the absolute-time backends that replace per-step queues when N
-/// episodes share this service. `None` outside fleet mode — every legacy
-/// code path is untouched then (the byte-identity guarantee).
-struct FleetState {
-    config: FleetConfig,
-    clock: VirtualClock,
-    events: EventQueue,
-    /// Scope (episode index) whose tenants are currently executing.
-    scope: usize,
-    /// Per-scope global base instant: episode-local trace time `t` maps to
-    /// global instant `bases[scope] + t`.
-    bases: Vec<SimInstant>,
-    /// One absolute-time queue per backend, parallel to
-    /// `ServiceInner::backends`.
-    backends: Vec<FleetBackend>,
-    scopes: Vec<ScopeLedger>,
-    /// Placements currently decoding (incremented at placement,
-    /// decremented when the `DecodeFinish` event pops) — the fleet's
-    /// admission-control signal, replacing the per-step depth counter.
-    in_flight: u32,
-    peak_in_flight: u32,
-    sessions: u64,
-    decode_events: u64,
-    restarts: u64,
-    cross_episode_batches: u64,
-    events_processed: u64,
-    /// Submitting scope per open-window member, parallel to
-    /// `Window::members`.
-    window_scopes: Vec<usize>,
-}
-
-impl FleetState {
-    /// Episode-local instant `now` mapped onto the global fleet timeline.
-    fn globalize(&self, now: SimInstant) -> SimInstant {
-        self.bases[self.scope] + now.duration_since(SimInstant::EPOCH)
-    }
-}
-
-/// Counts one queueing observation into a stats ledger — shared by the
-/// legacy per-step path and every fleet scope so the two modes cannot
-/// drift in what they count.
+/// Counts one queueing observation into a stats ledger.
 fn note_queue_into(stats: &mut ServingStats, queued: SimDuration) {
     if !queued.is_zero() {
         stats.queued += 1;
@@ -200,10 +159,9 @@ fn note_queue_into(stats: &mut ServingStats, queued: SimDuration) {
     }
 }
 
-/// Counts one placement's fault outcomes into a fault ledger — shared by
-/// both serving modes, same reasoning as [`note_queue_into`].
+/// Counts one placement's fault outcomes into a fault ledger.
 fn note_placement_into(fault_stats: &mut ServingFaultStats, out: &PlacementOutcome) {
-    if out.crashed {
+    if out.restart.is_some() {
         fault_stats.crashes += 1;
     }
     if out.failed_over {
@@ -227,58 +185,103 @@ fn note_placement_into(fault_stats: &mut ServingFaultStats, out: &PlacementOutco
 struct ServiceInner {
     config: ServingConfig,
     tenants: Vec<Tenant>,
+    /// Model profile per backend, parallel to `backends`.
+    profiles: Vec<ModelProfile>,
     backends: Vec<Backend>,
-    stats: ServingStats,
-    fault_stats: ServingFaultStats,
     injector: ServingFaultInjector,
-    /// Tokens billed to hedged duplicates — merged into
-    /// [`InferenceService::total_usage`] so the hedge premium shows up in
-    /// every token/$ report.
-    hedge_usage: TokenStats,
     tokenizer: Tokenizer,
     window: Option<Window>,
-    fleet: Option<FleetState>,
+    /// Scope 0 always exists (a standalone episode, anchored at the
+    /// epoch); a fleet adds one per episode.
+    scopes: Vec<Scope>,
+    /// Scope whose tenants register next and whose owners
+    /// [`InferenceService::usage_for`] reads.
+    scope: usize,
+    /// Arrival instants of every placement, sorted.
+    arrivals: Vec<SimInstant>,
+    /// Completion instants of every placement, sorted; with `arrivals`,
+    /// they count the placements in service at any instant.
+    completions: Vec<SimInstant>,
+    /// Latest arrival, completion or restart instant seen.
+    horizon: SimInstant,
+    restarts: u64,
+    cross_episode_batches: u64,
 }
 
 impl ServiceInner {
     fn backend_for(&mut self, profile: &ModelProfile) -> usize {
-        if let Some(idx) = self
-            .backends
-            .iter()
-            .position(|b| b.profile.name == profile.name)
-        {
+        if let Some(idx) = self.profiles.iter().position(|p| p.name == profile.name) {
             return idx;
         }
-        self.backends.push(Backend {
-            profile: profile.clone(),
-            queue: BackendQueue::new(self.config.concurrency, self.config.replicas),
-            depth: 0,
-        });
-        // Fleet mode keeps an absolute-time twin per backend.
-        if let Some(fleet) = &mut self.fleet {
-            fleet.backends.push(FleetBackend::new(
-                self.config.concurrency,
-                self.config.replicas,
-            ));
-        }
+        self.profiles.push(profile.clone());
+        self.backends
+            .push(Backend::new(self.config.concurrency, self.config.replicas));
         self.backends.len() - 1
     }
 
-    fn note_queue(&mut self, queued: SimDuration) {
-        note_queue_into(&mut self.stats, queued);
+    /// A call from `tenant` at episode-local instant `now`: its backend,
+    /// its scope, and the global instant it arrives at.
+    fn arrive(&mut self, tenant: TenantId, now: SimInstant) -> (usize, usize, SimInstant) {
+        let Tenant { backend, scope, .. } = self.tenants[tenant];
+        let at = self.scopes[scope].base + now.duration_since(SimInstant::EPOCH);
+        self.horizon = self.horizon.max(at);
+        (backend, scope, at)
     }
 
-    fn note_placement(&mut self, out: &PlacementOutcome) {
-        note_placement_into(&mut self.fault_stats, out);
+    /// Placements in service at global instant `t`: arrived by `t`, not yet
+    /// complete. Fleet episodes step one after another, so bookings reach
+    /// the service out of arrival order; counting over every booking keeps
+    /// a lagging episode's view of the others' overlapping work.
+    fn in_flight_at(&self, t: SimInstant) -> u32 {
+        let arrived = self.arrivals.partition_point(|&a| a <= t);
+        let done = self.completions.partition_point(|&c| c <= t);
+        (arrived - done) as u32
+    }
+
+    /// The most placements ever in service at once. The count only rises
+    /// at an arrival, so sweeping the arrivals finds its peak.
+    fn peak_in_flight(&self) -> u32 {
+        let (mut done, mut peak) = (0, 0);
+        for (i, &a) in self.arrivals.iter().enumerate() {
+            while self.completions.get(done).is_some_and(|&c| c <= a) {
+                done += 1;
+            }
+            peak = peak.max((i + 1).saturating_sub(done));
+        }
+        peak as u32
+    }
+
+    /// Books `work` arriving at global instant `at` on `backend`.
+    fn book(
+        &mut self,
+        backend: usize,
+        at: SimInstant,
+        work: SimDuration,
+        hedge_after: Option<SimDuration>,
+    ) -> PlacementOutcome {
+        let out = self.backends[backend].place_at(at, work, &mut self.injector, hedge_after);
+        self.horizon = self.horizon.max(out.completion);
+        if let Some(restart) = out.restart {
+            self.restarts += 1;
+            self.horizon = self.horizon.max(restart);
+        }
+        for (instants, t) in [
+            (&mut self.arrivals, at),
+            (&mut self.completions, out.completion),
+        ] {
+            let i = instants.partition_point(|&x| x <= t);
+            instants.insert(i, t);
+        }
+        out
     }
 }
 
-/// The shared, simulated inference-serving stack of one embodied system.
+/// The shared, simulated inference-serving stack of one embodied system,
+/// or of a fleet of episodes.
 ///
 /// Cheap to clone (all clones share state); deliberately `!Send` — a
-/// service and every handle onto it live inside one episode on one
-/// thread, matching the episode-per-worker parallelism of the bench
-/// harness.
+/// service and every handle onto it live on one thread, matching the
+/// episode-per-worker parallelism of the bench harness.
 #[derive(Clone)]
 pub struct InferenceService {
     inner: Rc<RefCell<ServiceInner>>,
@@ -315,119 +318,51 @@ impl InferenceService {
             inner: Rc::new(RefCell::new(ServiceInner {
                 config,
                 tenants: Vec::new(),
+                profiles: Vec::new(),
                 backends: Vec::new(),
-                stats: ServingStats::default(),
-                fault_stats: ServingFaultStats::default(),
                 injector: ServingFaultInjector::new(config.faults, seed),
-                hedge_usage: TokenStats::default(),
                 tokenizer: Tokenizer::default(),
                 window: None,
-                fleet: None,
+                scopes: vec![Scope::default()],
+                scope: 0,
+                arrivals: Vec::new(),
+                completions: Vec::new(),
+                horizon: SimInstant::EPOCH,
+                restarts: 0,
+                cross_episode_batches: 0,
             })),
         }
     }
 
-    /// Switches the service into fleet mode for `episodes` concurrently
-    /// multiplexed episode scopes: backend queues move onto the global
-    /// virtual timeline, completions become `DecodeFinish` events, and
-    /// every counter splits per scope. Must be called before any tenant
-    /// registers (tenants are stamped with their scope at registration).
+    /// Selects the episode scope whose tenants register next and whose
+    /// owners [`InferenceService::usage_for`] and
+    /// [`InferenceService::resilience_for`] read.
     ///
     /// # Panics
     ///
-    /// Panics if tenants are already registered.
-    pub fn enable_fleet(&self, config: FleetConfig, episodes: usize) {
+    /// Panics if the scope was never anchored with
+    /// [`InferenceService::set_scope_base`] (scope 0 always exists).
+    pub fn set_scope(&self, scope: usize) {
         let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.tenants.is_empty(),
-            "fleet mode must be enabled before tenants register"
-        );
-        let concurrency = inner.config.concurrency;
-        let replicas = inner.config.replicas;
-        inner.fleet = Some(FleetState {
-            config,
-            clock: VirtualClock::new(),
-            events: EventQueue::new(),
-            scope: 0,
-            bases: vec![SimInstant::EPOCH; episodes],
-            backends: inner
-                .backends
-                .iter()
-                .map(|_| FleetBackend::new(concurrency, replicas))
-                .collect(),
-            scopes: vec![ScopeLedger::default(); episodes],
-            in_flight: 0,
-            peak_in_flight: 0,
-            sessions: 0,
-            decode_events: 0,
-            restarts: 0,
-            cross_episode_batches: 0,
-            events_processed: 0,
-            window_scopes: Vec::new(),
-        });
-    }
-
-    /// Whether this service multiplexes episode scopes on one timeline.
-    pub fn fleet_enabled(&self) -> bool {
-        self.inner.borrow().fleet.is_some()
-    }
-
-    /// The fleet knobs this service was switched into fleet mode with
-    /// (fleet mode only).
-    pub fn fleet_config(&self) -> FleetConfig {
-        let inner = self.inner.borrow();
-        inner.fleet.as_ref().expect("fleet mode not enabled").config
-    }
-
-    /// Sets the episode scope whose tenants are about to execute — the
-    /// fleet runner calls this before stepping an episode and before
-    /// reading its scoped reports.
-    pub fn set_fleet_scope(&self, scope: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        assert!(scope < fleet.bases.len(), "scope out of range");
-        fleet.scope = scope;
+        assert!(scope < inner.scopes.len(), "scope out of range");
+        inner.scope = scope;
     }
 
     /// Anchors `scope`'s episode-local time zero at global instant `base`
     /// (its admission instant): local trace time `t` maps to `base + t`.
     pub fn set_scope_base(&self, scope: usize, base: SimInstant) {
         let mut inner = self.inner.borrow_mut();
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        fleet.bases[scope] = base;
-        fleet.sessions += 1;
-    }
-
-    /// Schedules a fleet event at global instant `at`, returning its
-    /// sequence id (the deterministic same-instant tie-breaker).
-    pub fn push_fleet_event(&self, at: SimInstant, event: SimEvent) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        fleet.events.push(at, event)
-    }
-
-    /// Pops fleet events in `(virtual-time, sequence-id)` order, advancing
-    /// the global clock to each. Substrate bookkeeping events —
-    /// `DecodeFinish` (in-flight gauge down) and `ReplicaRestart` — are
-    /// consumed internally; the first orchestration event (arrival, step
-    /// ready, window close) is returned to the runner. `None` when the
-    /// queue drains.
-    pub fn pop_fleet_event(&self) -> Option<ScheduledEvent> {
-        let mut inner = self.inner.borrow_mut();
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        while let Some(ev) = fleet.events.pop() {
-            fleet.clock.advance_to(ev.at);
-            fleet.events_processed += 1;
-            match ev.event {
-                SimEvent::DecodeFinish { .. } => {
-                    fleet.in_flight = fleet.in_flight.saturating_sub(1);
-                    fleet.decode_events += 1;
-                }
-                SimEvent::ReplicaRestart { .. } => fleet.restarts += 1,
-                _ => return Some(ev),
-            }
+        if scope >= inner.scopes.len() {
+            inner.scopes.resize_with(scope + 1, Scope::default);
         }
-        None
+        inner.scopes[scope].base = base;
+    }
+
+    /// Records `scope`'s trace cursor: its next call arrives at
+    /// episode-local instant `now`. Callers set it before every inference
+    /// so admission control reads the backlog at the call's own arrival.
+    pub fn set_cursor(&self, scope: usize, now: SimInstant) {
+        self.inner.borrow_mut().scopes[scope].cursor = now;
     }
 
     /// The scheduling configuration this service was built with.
@@ -435,14 +370,14 @@ impl InferenceService {
         self.inner.borrow().config
     }
 
-    /// Registers a fully wrapped engine stack as a new tenant, returning
-    /// the handle its module will hold. Tenants sharing a model profile
-    /// share one scheduling backend.
+    /// Registers a fully wrapped engine stack as a new tenant of the
+    /// current scope, returning the handle its module will hold. Tenants
+    /// sharing a model profile share one scheduling backend.
     pub fn register(&self, engine: ResilientEngine, owner: TenantOwner) -> EngineHandle {
         let profile = engine.profile().clone();
         let mut inner = self.inner.borrow_mut();
         let backend = inner.backend_for(&profile);
-        let scope = inner.fleet.as_ref().map_or(0, |f| f.scope);
+        let scope = inner.scope;
         inner.tenants.push(Tenant {
             engine,
             owner,
@@ -463,29 +398,11 @@ impl InferenceService {
         self.inner.borrow().tenants.len()
     }
 
-    /// Resets all backend queues and admission-control depths — called at
-    /// every step boundary (the step loop is a synchronization barrier;
-    /// queues do not carry over). Replica restart clocks persist: a
-    /// crashed replica stays down until its simulated restart instant.
-    pub fn begin_step(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.fleet.is_some() {
-            // The fleet timeline is continuous: episode step boundaries
-            // are local conveniences, not global synchronization barriers,
-            // so nothing resets.
-            return;
-        }
-        for b in &mut inner.backends {
-            b.queue.reset();
-            b.depth = 0;
-        }
-    }
-
-    /// Schedules one independent (cohort) request, reserving a server
-    /// slot for its `response.latency` of simulated inference on the
-    /// tenant's replica fleet at simulated instant `now`. Draws serving
-    /// faults, hedges when configured, measures the SLO, and returns what
-    /// the tier charged.
+    /// Schedules one independent (cohort) request arriving at the tenant's
+    /// episode-local instant `now`, booking a server slot for its
+    /// `response.latency` of simulated inference. Draws serving faults,
+    /// hedges when configured, measures the SLO, and returns what the tier
+    /// charged.
     pub fn submit_cohort(
         &self,
         tenant: TenantId,
@@ -494,83 +411,30 @@ impl InferenceService {
     ) -> ServeOutcome {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        let backend = inner.tenants[tenant].backend;
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            // Fleet path: place on the absolute-time twin at the global
-            // instant, schedule the completion as a DecodeFinish event,
-            // and ledger everything per scope.
-            let gnow = fleet.globalize(now);
-            fleet.clock.advance_to(gnow);
-            let (out, completion, restart) = fleet.backends[backend].place_at(
-                gnow,
-                response.latency,
-                &mut inner.injector,
-                inner.config.hedge_after,
-            );
-            fleet
-                .events
-                .push(completion, SimEvent::DecodeFinish { backend });
-            if let Some((replica, restart_at)) = restart {
-                fleet
-                    .events
-                    .push(restart_at, SimEvent::ReplicaRestart { backend, replica });
-            }
-            fleet.in_flight += 1;
-            fleet.peak_in_flight = fleet.peak_in_flight.max(fleet.in_flight);
-            let ledger = &mut fleet.scopes[scope];
-            ledger.stats.cohort_requests += 1;
-            note_placement_into(&mut ledger.fault_stats, &out);
-            if out.hedged.is_some() {
-                ledger.hedge_usage.record(
-                    response.prompt_tokens,
-                    response.output_tokens,
-                    response.cost_usd,
-                );
-                ledger.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
-                ledger.fault_stats.hedge_cost_usd += response.cost_usd;
-            }
-            if let Some(deadline) = inner.config.deadline {
-                ledger.fault_stats.slo_total += 1;
-                if out.queue + out.slowdown + response.latency <= deadline {
-                    ledger.fault_stats.slo_met += 1;
-                }
-            }
-            note_queue_into(&mut ledger.stats, out.queue + out.slowdown);
-            return ServeOutcome {
-                queue: out.queue,
-                slowdown: out.slowdown,
-                failover: out.failover_penalty,
-                hedged: out.hedged,
-            };
-        }
-        inner.stats.cohort_requests += 1;
-        inner.backends[backend].depth += 1;
-        let out = inner.backends[backend].queue.place_at(
-            now,
-            response.latency,
-            &mut inner.injector,
-            inner.config.hedge_after,
-        );
-        inner.note_placement(&out);
+        let (backend, scope, at) = inner.arrive(tenant, now);
+        let config = inner.config;
+        let out = inner.book(backend, at, response.latency, config.hedge_after);
+        let ledger = &mut inner.scopes[scope];
+        ledger.stats.cohort_requests += 1;
+        note_placement_into(&mut ledger.fault_stats, &out);
         if out.hedged.is_some() {
             // First-completion-wins still bills both attempts: the losing
             // duplicate's tokens are the premium hedging pays.
-            inner.hedge_usage.record(
+            ledger.hedge_usage.record(
                 response.prompt_tokens,
                 response.output_tokens,
                 response.cost_usd,
             );
-            inner.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
-            inner.fault_stats.hedge_cost_usd += response.cost_usd;
+            ledger.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
+            ledger.fault_stats.hedge_cost_usd += response.cost_usd;
         }
-        if let Some(deadline) = inner.config.deadline {
-            inner.fault_stats.slo_total += 1;
+        if let Some(deadline) = config.deadline {
+            ledger.fault_stats.slo_total += 1;
             if out.queue + out.slowdown + response.latency <= deadline {
-                inner.fault_stats.slo_met += 1;
+                ledger.fault_stats.slo_met += 1;
             }
         }
-        inner.note_queue(out.queue + out.slowdown);
+        note_queue_into(&mut ledger.stats, out.queue + out.slowdown);
         ServeOutcome {
             queue: out.queue,
             slowdown: out.slowdown,
@@ -580,45 +444,31 @@ impl InferenceService {
     }
 
     /// Bills one *dependent* follow-up request (action selection,
-    /// verification, reflection, guardrail re-prompt) the delay until a
-    /// slot frees at `now`, without reserving one — its own service time
-    /// is already accounted sequentially by the caller. Draws no faults.
+    /// verification, reflection, guardrail re-prompt) arriving at the
+    /// tenant's episode-local instant `now` the delay until a slot frees,
+    /// without booking one — its own service time is already accounted
+    /// sequentially by the caller. Draws no faults.
     pub fn queue_solo(&self, tenant: TenantId, now: SimInstant) -> SimDuration {
         let mut inner = self.inner.borrow_mut();
-        let backend = inner.tenants[tenant].backend;
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            let gnow = fleet.globalize(now);
-            fleet.clock.advance_to(gnow);
-            let queued = fleet.backends[backend].delay(gnow);
-            let ledger = &mut fleet.scopes[scope];
-            ledger.stats.solo_requests += 1;
-            note_queue_into(&mut ledger.stats, queued);
-            return queued;
-        }
-        inner.stats.solo_requests += 1;
-        inner.backends[backend].depth += 1;
-        let queued = inner.backends[backend].queue.delay(now);
-        inner.note_queue(queued);
+        let (backend, scope, at) = inner.arrive(tenant, now);
+        let queued = inner.backends[backend].delay(at);
+        let stats = &mut inner.scopes[scope].stats;
+        stats.solo_requests += 1;
+        note_queue_into(stats, queued);
         queued
     }
 
     /// Opens a batch window for a fan-out of same-phase requests sharing
     /// `shared_prefix` (the workload's system preamble). Subsequent
     /// [`InferenceService::window_add`] calls join it until
-    /// [`InferenceService::close_window`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window is already open — windows never nest. Exception:
-    /// in fleet mode concurrent episodes *join* the open window (that is
-    /// the cross-episode batch), so a second open is a no-op there.
+    /// [`InferenceService::close_window`]. Opening while a window is
+    /// already open joins it: that is how episodes sharing a service batch
+    /// together.
     pub fn open_window(&self, opts: InferenceOpts, shared_prefix: &str) {
         let mut inner = self.inner.borrow_mut();
-        if inner.fleet.is_some() && inner.window.is_some() {
+        if inner.window.is_some() {
             return;
         }
-        assert!(inner.window.is_none(), "serving windows cannot nest");
         let prefix_tokens = inner.tokenizer.count(shared_prefix);
         inner.window = Some(Window {
             opts,
@@ -640,10 +490,6 @@ impl InferenceService {
     /// Panics if no window is open.
     pub fn window_add(&self, tenant: TenantId, response: &LlmResponse) {
         let mut inner = self.inner.borrow_mut();
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            fleet.window_scopes.push(scope);
-        }
         let window = inner.window.as_mut().expect("no serving window open");
         window.members.push(WindowMember {
             tenant,
@@ -661,126 +507,40 @@ impl InferenceService {
             .map_or(0, |w| w.members.len())
     }
 
-    /// Closes the window at simulated instant `now`: groups members by
+    /// Closes the window at global instant `at`: groups members by
     /// backend, applies the prefix-cache model (every member after the
     /// first on a backend reuses the shared preamble's KV prefix),
-    /// computes each group's shared batch bill, schedules it on the
-    /// replica fleet (drawing serving faults at batch granularity —
-    /// batches are never hedged), and returns every member's amortized
-    /// share in submission order.
+    /// computes each group's shared batch bill, books it on the backend
+    /// (drawing serving faults at batch granularity — batches are never
+    /// hedged), and returns every member's scope and amortized share in
+    /// submission order.
     ///
-    /// Batch composition is ordered by tenant id (stable on submission
-    /// order), so co-arrival order cannot leak scheduling
-    /// nondeterminism into the results.
-    pub fn close_window(&self, now: SimInstant) -> Vec<WindowShare> {
+    /// Batch composition is ordered by scope, then tenant id, then
+    /// submission order, so co-arrival order cannot leak scheduling
+    /// nondeterminism into the results. Counters ledger into each
+    /// member's scope; serving-side overheads ride the leading member's
+    /// wait (the whole batch completes together, so one span carries the
+    /// shared cost) and ledger into its scope. A batch whose members span
+    /// two or more scopes counts as a cross-episode batch.
+    pub fn close_window(&self, at: SimInstant) -> Vec<(usize, WindowShare)> {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
+        inner.horizon = inner.horizon.max(at);
         let window = inner.window.take().expect("no serving window open");
-        let mut shares = vec![
-            WindowShare {
-                share: SimDuration::ZERO,
-                queue: SimDuration::ZERO,
-            };
-            window.members.len()
-        ];
+        let scope_of = |m: usize| inner.tenants[window.members[m].tenant].scope;
+        let member_scopes: Vec<usize> = (0..window.members.len()).map(scope_of).collect();
+        let mut shares = vec![(0, WindowShare::default()); window.members.len()];
         for backend_idx in 0..inner.backends.len() {
-            // Deterministic batch order: tenant id, then submission order.
-            let mut group: Vec<usize> = (0..window.members.len())
-                .filter(|&m| inner.tenants[window.members[m].tenant].backend == backend_idx)
-                .collect();
-            group.sort_by_key(|&m| (window.members[m].tenant, m));
-            if group.is_empty() {
-                continue;
-            }
-            let mut sized = Vec::with_capacity(group.len());
-            for (j, &m) in group.iter().enumerate() {
-                let member = &window.members[m];
-                let reused = if j == 0 {
-                    0 // first arrival pays the full prefill, warming the cache
-                } else {
-                    window
-                        .prefix_tokens
-                        .min(member.prompt_tokens.saturating_sub(1))
-                };
-                if reused > 0 {
-                    inner.stats.prefix_hits += 1;
-                    inner.stats.prefix_reused_tokens += reused;
-                }
-                sized.push((member.prompt_tokens - reused, member.output_tokens));
-            }
-            let profile = inner.backends[backend_idx].profile.clone();
-            let total = batch_latency(&profile, &sized, window.opts);
-            let weights: Vec<u64> = sized.iter().map(|&(pt, ot)| pt + ot).collect();
-            let amortized = amortize_latency(total, &weights);
-            let out =
-                inner.backends[backend_idx]
-                    .queue
-                    .place_at(now, total, &mut inner.injector, None);
-            inner.note_placement(&out);
-            inner.backends[backend_idx].depth += group.len() as u32;
-            inner.stats.batches += 1;
-            inner.stats.batched_requests += group.len() as u64;
-            // Serving-side overheads (restart waits, brownout inflation,
-            // crash waste) ride the leading member's wait: the whole batch
-            // completes together, so one span carries the shared cost.
-            let lead_wait = out.queue + out.slowdown + out.failover_penalty;
-            inner.note_queue(lead_wait);
-            if let Some(deadline) = inner.config.deadline {
-                inner.fault_stats.slo_total += group.len() as u64;
-                if lead_wait + total <= deadline {
-                    inner.fault_stats.slo_met += group.len() as u64;
-                }
-            }
-            for (j, &m) in group.iter().enumerate() {
-                shares[m] = WindowShare {
-                    share: amortized[j],
-                    queue: if j == 0 { lead_wait } else { SimDuration::ZERO },
-                };
-            }
-        }
-        shares
-    }
-
-    /// Fleet-mode window close at global instant `gnow`: same grouping,
-    /// prefix-cache and amortization logic as
-    /// [`InferenceService::close_window`], but placements go on the
-    /// absolute-time backends (completions become `DecodeFinish` events),
-    /// counters ledger into each member's episode scope, and a batch whose
-    /// members span two or more scopes counts as a cross-episode batch —
-    /// the effect the per-episode loop cannot express. Returns
-    /// `(scope, share)` per member in submission order.
-    pub fn close_fleet_window(&self, gnow: SimInstant) -> Vec<(usize, WindowShare)> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        fleet.clock.advance_to(gnow);
-        let window = inner.window.take().expect("no serving window open");
-        let member_scopes = std::mem::take(&mut fleet.window_scopes);
-        debug_assert_eq!(member_scopes.len(), window.members.len());
-        let mut shares = vec![
-            (
-                0usize,
-                WindowShare {
-                    share: SimDuration::ZERO,
-                    queue: SimDuration::ZERO,
-                },
-            );
-            window.members.len()
-        ];
-        for backend_idx in 0..inner.backends.len() {
-            // Deterministic batch order: scope, then tenant id, then
-            // submission order (tenant ids are globally unique, but the
-            // scope key keeps composition stable if that ever changes).
             let mut group: Vec<usize> = (0..window.members.len())
                 .filter(|&m| inner.tenants[window.members[m].tenant].backend == backend_idx)
                 .collect();
             group.sort_by_key(|&m| (member_scopes[m], window.members[m].tenant, m));
-            if group.is_empty() {
+            let Some(&lead) = group.first() else {
                 continue;
-            }
-            let lead_scope = member_scopes[group[0]];
+            };
+            let lead_scope = member_scopes[lead];
             if group.iter().any(|&m| member_scopes[m] != lead_scope) {
-                fleet.cross_episode_batches += 1;
+                inner.cross_episode_batches += 1;
             }
             let mut sized = Vec::with_capacity(group.len());
             for (j, &m) in group.iter().enumerate() {
@@ -792,56 +552,31 @@ impl InferenceService {
                         .prefix_tokens
                         .min(member.prompt_tokens.saturating_sub(1))
                 };
+                let stats = &mut inner.scopes[member_scopes[m]].stats;
+                stats.batched_requests += 1;
                 if reused > 0 {
-                    let ledger = &mut fleet.scopes[member_scopes[m]];
-                    ledger.stats.prefix_hits += 1;
-                    ledger.stats.prefix_reused_tokens += reused;
+                    stats.prefix_hits += 1;
+                    stats.prefix_reused_tokens += reused;
                 }
                 sized.push((member.prompt_tokens - reused, member.output_tokens));
             }
-            let profile = inner.backends[backend_idx].profile.clone();
-            let total = batch_latency(&profile, &sized, window.opts);
+            let total = batch_latency(&inner.profiles[backend_idx], &sized, window.opts);
             let weights: Vec<u64> = sized.iter().map(|&(pt, ot)| pt + ot).collect();
             let amortized = amortize_latency(total, &weights);
-            let (out, completion, restart) =
-                fleet.backends[backend_idx].place_at(gnow, total, &mut inner.injector, None);
-            fleet.events.push(
-                completion,
-                SimEvent::DecodeFinish {
-                    backend: backend_idx,
-                },
-            );
-            if let Some((replica, restart_at)) = restart {
-                fleet.events.push(
-                    restart_at,
-                    SimEvent::ReplicaRestart {
-                        backend: backend_idx,
-                        replica,
-                    },
-                );
-            }
-            fleet.in_flight += 1;
-            fleet.peak_in_flight = fleet.peak_in_flight.max(fleet.in_flight);
-            note_placement_into(&mut fleet.scopes[lead_scope].fault_stats, &out);
-            fleet.scopes[lead_scope].stats.batches += 1;
-            for &m in &group {
-                fleet.scopes[member_scopes[m]].stats.batched_requests += 1;
-            }
-            // Serving-side overheads ride the leading member's wait, so
-            // they ledger into the lead's scope — same single-span rule as
-            // the per-step path, now across episodes.
+            let out = inner.book(backend_idx, at, total, None);
             let lead_wait = out.queue + out.slowdown + out.failover_penalty;
-            note_queue_into(&mut fleet.scopes[lead_scope].stats, lead_wait);
-            if let Some(deadline) = inner.config.deadline {
-                for &m in &group {
-                    let ledger = &mut fleet.scopes[member_scopes[m]];
-                    ledger.fault_stats.slo_total += 1;
+            let lead_ledger = &mut inner.scopes[lead_scope];
+            note_placement_into(&mut lead_ledger.fault_stats, &out);
+            lead_ledger.stats.batches += 1;
+            note_queue_into(&mut lead_ledger.stats, lead_wait);
+            for (j, &m) in group.iter().enumerate() {
+                if let Some(deadline) = inner.config.deadline {
+                    let faults = &mut inner.scopes[member_scopes[m]].fault_stats;
+                    faults.slo_total += 1;
                     if lead_wait + total <= deadline {
-                        ledger.fault_stats.slo_met += 1;
+                        faults.slo_met += 1;
                     }
                 }
-            }
-            for (j, &m) in group.iter().enumerate() {
                 shares[m] = (
                     member_scopes[m],
                     WindowShare {
@@ -854,127 +589,63 @@ impl InferenceService {
         shares
     }
 
-    /// Serving-layer counters accumulated so far. In fleet mode this is
-    /// the merge across every episode scope.
-    pub fn stats(&self) -> ServingStats {
-        let inner = self.inner.borrow();
-        if let Some(fleet) = &inner.fleet {
-            let mut total = ServingStats::default();
-            for ledger in &fleet.scopes {
-                total.merge(&ledger.stats);
-            }
-            return total;
-        }
-        inner.stats
+    /// One episode scope's serving counters.
+    pub fn scope_stats(&self, scope: usize) -> ServingStats {
+        self.inner.borrow().scopes[scope].stats
     }
 
-    /// Merged token usage of every tenant registered to `owner`. In fleet
-    /// mode, owners repeat across episodes (agent ids restart at 0), so
-    /// the query is additionally scoped to the current fleet scope.
+    /// One episode scope's serving-fault counters (crashes, failovers,
+    /// hedges, sheds, deadline misses, SLO attainment).
+    pub fn scope_fault_stats(&self, scope: usize) -> ServingFaultStats {
+        self.inner.borrow().scopes[scope].fault_stats
+    }
+
+    /// Merged token usage of every tenant registered to `owner` in the
+    /// current scope (owner ids restart at 0 in every episode).
     pub fn usage_for(&self, owner: TenantOwner) -> TokenStats {
         let inner = self.inner.borrow();
-        let scope = inner.fleet.as_ref().map(|f| f.scope);
         let mut total = TokenStats::default();
         for t in inner
             .tenants
             .iter()
-            .filter(|t| t.owner == owner && scope.is_none_or(|s| t.scope == s))
+            .filter(|t| t.owner == owner && t.scope == inner.scope)
         {
             total.merge(&t.engine.usage());
         }
         total
     }
 
-    /// Merged resilience counters of every tenant registered to `owner`
-    /// (scoped to the current fleet scope in fleet mode, like
-    /// [`InferenceService::usage_for`]).
+    /// Merged resilience counters of every tenant registered to `owner` in
+    /// the current scope, like [`InferenceService::usage_for`].
     pub fn resilience_for(&self, owner: TenantOwner) -> ResilienceStats {
         let inner = self.inner.borrow();
-        let scope = inner.fleet.as_ref().map(|f| f.scope);
         let mut total = ResilienceStats::default();
         for t in inner
             .tenants
             .iter()
-            .filter(|t| t.owner == owner && scope.is_none_or(|s| t.scope == s))
+            .filter(|t| t.owner == owner && t.scope == inner.scope)
         {
             total.merge(&t.engine.stats());
         }
         total
     }
 
-    /// Merged token usage across every tenant — the system-level ledger
-    /// replacing per-module hand-walks. Includes the tokens billed to
-    /// losing hedge duplicates (the hedge premium).
-    pub fn total_usage(&self) -> TokenStats {
-        let inner = self.inner.borrow();
-        let mut total = TokenStats::default();
-        for t in &inner.tenants {
-            total.merge(&t.engine.usage());
-        }
-        total.merge(&inner.hedge_usage);
-        total
-    }
-
-    /// Serving-fault counters accumulated so far (crashes, failovers,
-    /// hedges, sheds, deadline misses, SLO attainment). In fleet mode this
-    /// is the merge across every episode scope.
-    pub fn fault_stats(&self) -> ServingFaultStats {
-        let inner = self.inner.borrow();
-        if let Some(fleet) = &inner.fleet {
-            let mut total = inner.fault_stats;
-            for ledger in &fleet.scopes {
-                total.merge(&ledger.fault_stats);
-            }
-            return total;
-        }
-        inner.fault_stats
-    }
-
-    /// Merged resilience counters across every tenant.
-    pub fn total_resilience(&self) -> ResilienceStats {
-        let inner = self.inner.borrow();
-        let mut total = ResilienceStats::default();
-        for t in &inner.tenants {
-            total.merge(&t.engine.stats());
-        }
-        total
-    }
-
-    /// One episode scope's serving counters (fleet mode only).
-    pub fn scope_stats(&self, scope: usize) -> ServingStats {
-        let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
-        fleet.scopes[scope].stats
-    }
-
-    /// One episode scope's serving-fault counters (fleet mode only).
-    /// Sheds and deadline misses are drawn at the engine boundary where
-    /// the scope is ambient, so they ledger into the *current* scope —
-    /// call with the scope still active.
-    pub fn scope_fault_stats(&self, scope: usize) -> ServingFaultStats {
-        let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
-        fleet.scopes[scope].fault_stats
-    }
-
-    /// Merged token usage of one episode scope's tenants plus its hedge
-    /// premium — the fleet-mode analogue of
-    /// [`InferenceService::total_usage`].
+    /// Merged token usage of every tenant of one episode scope — the
+    /// system-level ledger replacing per-module hand-walks. Includes the
+    /// tokens billed to losing hedge duplicates (the hedge premium).
     pub fn total_usage_for_scope(&self, scope: usize) -> TokenStats {
         let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
         let mut total = TokenStats::default();
         for t in inner.tenants.iter().filter(|t| t.scope == scope) {
             total.merge(&t.engine.usage());
         }
-        total.merge(&fleet.scopes[scope].hedge_usage);
+        total.merge(&inner.scopes[scope].hedge_usage);
         total
     }
 
     /// Merged resilience counters of one episode scope's tenants.
     pub fn total_resilience_for_scope(&self, scope: usize) -> ResilienceStats {
         let inner = self.inner.borrow();
-        assert!(inner.fleet.is_some(), "fleet mode not enabled");
         let mut total = ResilienceStats::default();
         for t in inner.tenants.iter().filter(|t| t.scope == scope) {
             total.merge(&t.engine.stats());
@@ -982,19 +653,22 @@ impl InferenceService {
         total
     }
 
-    /// Fleet-level counters: what the shared substrate saw across every
-    /// episode scope (fleet mode only).
+    /// What the shared backends saw across every scope, as the serving
+    /// substrate's part of a [`FleetSummary`]: every placement counts as a
+    /// decode event and every crash as a restart (both also count toward
+    /// `events`), and `makespan` reaches the latest arrival, completion or
+    /// restart instant. `sessions` is left at 0 for the runner to fill.
     pub fn fleet_summary(&self) -> FleetSummary {
         let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
+        let placements = inner.arrivals.len() as u64;
         FleetSummary {
-            sessions: fleet.sessions,
-            events: fleet.events_processed,
-            peak_in_flight: fleet.peak_in_flight,
-            decode_events: fleet.decode_events,
-            restarts: fleet.restarts,
-            cross_episode_batches: fleet.cross_episode_batches,
-            makespan: fleet.clock.elapsed(),
+            sessions: 0,
+            events: placements + inner.restarts,
+            peak_in_flight: inner.peak_in_flight(),
+            decode_events: placements,
+            restarts: inner.restarts,
+            cross_episode_batches: inner.cross_episode_batches,
+            makespan: inner.horizon.duration_since(SimInstant::EPOCH),
         }
     }
 
@@ -1014,26 +688,20 @@ impl InferenceService {
             let mut inner = self.inner.borrow_mut();
             let shed_depth = inner.config.shed_depth;
             if shed_depth > 0 {
-                // Admission signal: per-step placements in legacy mode; in
-                // fleet mode the live in-flight gauge (placements whose
-                // DecodeFinish has not popped yet) — the continuous-time
-                // analogue of the same backlog.
-                let depth = match &inner.fleet {
-                    Some(fleet) => fleet.in_flight,
-                    None => inner.backends[inner.tenants[tenant].backend].depth,
-                };
-                // Low-priority purposes shed first; everything sheds once
-                // the backlog doubles past the threshold.
+                // Admission signal: placements still in service when the
+                // call arrives, at its scope's trace cursor. Low-priority
+                // purposes shed first; everything sheds once the backlog
+                // doubles past the threshold.
+                let scope = &inner.scopes[inner.tenants[tenant].scope];
+                let depth =
+                    inner.in_flight_at(scope.base + scope.cursor.duration_since(SimInstant::EPOCH));
                 let low_priority = matches!(
                     req.purpose,
                     Purpose::Reflection | Purpose::Communication | Purpose::Summarization
                 );
-                if depth >= shed_depth * 2 || (low_priority && depth >= shed_depth) {
+                if depth >= shed_depth.saturating_mul(2) || (low_priority && depth >= shed_depth) {
                     let scope = inner.tenants[tenant].scope;
-                    match &mut inner.fleet {
-                        Some(fleet) => fleet.scopes[scope].fault_stats.shed += 1,
-                        None => inner.fault_stats.shed += 1,
-                    }
+                    inner.scopes[scope].fault_stats.shed += 1;
                     return Err(LlmError::Shed);
                 }
             }
@@ -1047,10 +715,7 @@ impl InferenceService {
                     // the simulated wall-clock it burned is real: bill it
                     // as stall so the trace stays time-conserving.
                     let scope = inner.tenants[tenant].scope;
-                    match &mut inner.fleet {
-                        Some(fleet) => fleet.scopes[scope].fault_stats.deadline_misses += 1,
-                        None => inner.fault_stats.deadline_misses += 1,
-                    }
+                    inner.scopes[scope].fault_stats.deadline_misses += 1;
                     inner.tenants[tenant].engine.add_stall(resp.latency);
                     return Err(LlmError::DeadlineExceeded);
                 }
@@ -1278,9 +943,9 @@ mod tests {
         assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 2);
         assert_eq!(service.usage_for(TenantOwner::Agent(1)).calls, 1);
         assert_eq!(service.usage_for(TenantOwner::Central).calls, 1);
-        assert_eq!(service.total_usage().calls, 4);
+        assert_eq!(service.total_usage_for_scope(0).calls, 4);
         assert_eq!(a.usage().calls, 2);
-        assert!(service.total_resilience().is_quiet());
+        assert!(service.total_resilience_for_scope(0).is_quiet());
         assert_eq!(service.tenant_count(), 3);
     }
 
@@ -1303,16 +968,18 @@ mod tests {
         // nothing.
         assert_eq!(service.queue_solo(a.tenant(), T0), work * 2);
         assert_eq!(service.queue_solo(a.tenant(), T0), work * 2);
-        let stats = service.stats();
+        let stats = service.scope_stats(0);
         assert_eq!(stats.cohort_requests, 2);
         assert_eq!(stats.solo_requests, 2);
         assert_eq!(stats.queued, 3);
         assert_eq!(stats.queue_delay, work * 5);
         // Fault-free serving keeps the fault plane silent.
-        assert!(service.fault_stats().is_quiet());
-        // Step boundary clears the queues.
-        service.begin_step();
-        assert_eq!(service.queue_solo(b.tenant(), T0), SimDuration::ZERO);
+        assert!(service.scope_fault_stats(0).is_quiet());
+        // A call arriving once the backlog has drained waits nothing.
+        assert_eq!(
+            service.queue_solo(b.tenant(), T0 + work * 2),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -1335,7 +1002,8 @@ mod tests {
         let shares = service.close_window(T0);
         assert!(!service.window_is_open());
         assert_eq!(shares.len(), 3);
-        let stats = service.stats();
+        assert!(shares.iter().all(|&(scope, _)| scope == 0));
+        let stats = service.scope_stats(0);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.batched_requests, 3);
         // Members after the first reuse the shared preamble prefix.
@@ -1352,10 +1020,10 @@ mod tests {
             })
             .collect();
         let total = batch_latency(&ModelProfile::gpt4_api(), &sized, InferenceOpts::default());
-        let billed: SimDuration = shares.iter().map(|s| s.share).sum();
+        let billed: SimDuration = shares.iter().map(|(_, s)| s.share).sum();
         assert_eq!(billed, total);
         // Unbounded concurrency: the batch did not queue.
-        assert!(shares.iter().all(|s| s.queue.is_zero()));
+        assert!(shares.iter().all(|(_, s)| s.queue.is_zero()));
     }
 
     #[test]
@@ -1380,7 +1048,7 @@ mod tests {
             }
             let shares = service.close_window(T0);
             for (slot, &i) in responses.iter().enumerate() {
-                per_tenant[i] = shares[slot].share;
+                per_tenant[i] = shares[slot].1.share;
             }
             per_tenant
         };
@@ -1407,9 +1075,9 @@ mod tests {
         let shares = service.close_window(T0);
         // The whole batch waits behind the busy slot; only the leading
         // member carries the wait.
-        assert_eq!(shares[0].queue, prior);
-        assert!(shares[1].queue.is_zero());
-        assert_eq!(service.stats().queued, 1);
+        assert_eq!(shares[0].1.queue, prior);
+        assert!(shares[1].1.queue.is_zero());
+        assert_eq!(service.scope_stats(0).queued, 1);
     }
 
     #[test]
@@ -1467,8 +1135,8 @@ mod tests {
             .infer(LlmRequest::new(Purpose::Reflection, "reflect early", 80))
             .is_ok());
         service.submit_cohort(h.tenant(), T0, &resp(SimDuration::from_secs(5)));
-        // Depth 1 (== shed_depth): low-priority purposes shed, planning
-        // still gets through.
+        // One placement in service (== shed_depth): low-priority purposes
+        // shed, planning still gets through.
         let shed = h
             .infer(LlmRequest::new(Purpose::Reflection, "reflect late", 80))
             .unwrap_err();
@@ -1476,17 +1144,46 @@ mod tests {
         assert!(!shed.is_transient(), "shed calls must never be retried");
         assert!(h.infer(req("planning still admitted")).is_ok());
         service.submit_cohort(h.tenant(), T0, &resp(SimDuration::from_secs(5)));
-        // Depth 2 (== 2 * shed_depth): everything sheds.
+        // Two in service (== 2 * shed_depth): everything sheds.
         assert_eq!(
             h.infer(req("planning now shed")).unwrap_err(),
             LlmError::Shed
         );
-        assert_eq!(service.fault_stats().shed, 2);
-        // Step boundary resets the admission signal.
-        service.begin_step();
+        assert_eq!(service.scope_fault_stats(0).shed, 2);
+        // The signal is read where the call arrives. At 5 s the first
+        // placement has completed and the queued one is still in service:
+        // planning is admitted, reflection still sheds.
+        service.set_cursor(0, T0 + SimDuration::from_secs(5));
+        assert!(h.infer(req("planning admitted again")).is_ok());
+        assert_eq!(
+            h.infer(LlmRequest::new(Purpose::Reflection, "reflect at 5 s", 80))
+                .unwrap_err(),
+            LlmError::Shed
+        );
+        // Once the backlog has drained (10 s), every call is admitted.
+        service.set_cursor(0, T0 + SimDuration::from_secs(10));
         assert!(h
-            .infer(LlmRequest::new(Purpose::Reflection, "fresh step", 80))
+            .infer(LlmRequest::new(Purpose::Reflection, "backlog drained", 80))
             .is_ok());
+        assert_eq!(service.scope_fault_stats(0).shed, 3);
+    }
+
+    #[test]
+    fn shed_threshold_past_half_of_u32_does_not_overflow() {
+        // Twice this threshold is past u32::MAX: the everything-sheds
+        // level saturates instead of overflowing, and nothing is shed.
+        let service = InferenceService::new(ServingConfig::limited(1).with_shedding(1 << 31));
+        let mut h = handle(&service, 4, TenantOwner::Agent(0));
+        service.submit_cohort(h.tenant(), T0, &resp(SimDuration::from_secs(5)));
+        assert!(h.infer(req("planning admitted")).is_ok());
+        assert!(h
+            .infer(LlmRequest::new(
+                Purpose::Reflection,
+                "reflection admitted",
+                80
+            ))
+            .is_ok());
+        assert_eq!(service.scope_fault_stats(0).shed, 0);
     }
 
     #[test]
@@ -1501,10 +1198,14 @@ mod tests {
         let err = h.infer(req("too slow to matter")).unwrap_err();
         assert_eq!(err, LlmError::DeadlineExceeded);
         assert!(!err.is_transient());
-        assert_eq!(service.fault_stats().deadline_misses, 1);
+        assert_eq!(service.scope_fault_stats(0).deadline_misses, 1);
         assert!(h.take_stall() > SimDuration::ZERO, "burned time is billed");
-        assert_eq!(service.total_usage().calls, 1, "tokens were still spent");
-        let fs = service.fault_stats();
+        assert_eq!(
+            service.total_usage_for_scope(0).calls,
+            1,
+            "tokens were still spent"
+        );
+        let fs = service.scope_fault_stats(0);
         assert!(!fs.is_quiet());
         assert_eq!(fs.slo_total, 0, "SLO is measured at placement, not here");
     }
@@ -1526,126 +1227,120 @@ mod tests {
         let out = service.submit_cohort(h.tenant(), T0, &resp(work));
         assert_eq!(out.hedged, Some(false));
         assert_eq!(out.queue, work);
-        let fs = service.fault_stats();
+        let fs = service.scope_fault_stats(0);
         assert_eq!(fs.hedges(), 1);
         assert_eq!(fs.hedges_wasted, 1);
         assert_eq!(fs.hedge_tokens, 150);
         assert!(fs.hedge_cost_usd > 0.0);
         // The duplicate's tokens land in the system ledger — the premium.
-        let usage = service.total_usage();
+        let usage = service.total_usage_for_scope(0);
         assert_eq!(usage.calls, 1);
         assert_eq!(usage.prompt_tokens, 100);
         assert_eq!(usage.completion_tokens, 50);
     }
 
     #[test]
-    fn fleet_cohorts_queue_across_episode_scopes() {
+    fn cohorts_queue_across_episode_scopes() {
         // Two episode scopes, one slot: scope 1's placement queues behind
-        // scope 0's in-flight work — contention no per-episode service
-        // can produce — and the completion surfaces as a DecodeFinish.
+        // scope 0's in-service work, and the substrate counts both.
         let service = InferenceService::new(ServingConfig::limited(1));
-        service.enable_fleet(FleetConfig::default(), 2);
-        assert!(service.fleet_enabled());
         let a = handle(&service, 1, TenantOwner::Agent(0));
-        service.set_fleet_scope(1);
-        let b = handle(&service, 2, TenantOwner::Agent(0));
-        service.set_scope_base(0, T0);
         service.set_scope_base(1, T0 + SimDuration::from_secs(2));
+        service.set_scope(1);
+        let b = handle(&service, 2, TenantOwner::Agent(0));
         let work = SimDuration::from_secs(10);
-        service.set_fleet_scope(0);
         let out = service.submit_cohort(a.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::ZERO);
         // Scope 1 submits at its local T0 = global 2 s: 8 s of scope 0's
-        // work is still in flight.
-        service.set_fleet_scope(1);
+        // work is still in service.
         let out = service.submit_cohort(b.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::from_secs(8));
-        // begin_step is a no-op in fleet mode: nothing resets.
-        service.begin_step();
-        service.set_fleet_scope(0);
-        assert!(service.queue_solo(a.tenant(), T0) > SimDuration::ZERO);
-        // Per-scope ledgers saw one cohort each; scope 1's cohort queued,
-        // and scope 0's solo follow-up above queued too.
+        // Scope 0's dependent call at its local 5 s waits for the slot,
+        // busy until 20 s.
+        assert_eq!(
+            service.queue_solo(a.tenant(), T0 + SimDuration::from_secs(5)),
+            SimDuration::from_secs(15)
+        );
         assert_eq!(service.scope_stats(0).cohort_requests, 1);
         assert_eq!(service.scope_stats(1).cohort_requests, 1);
         assert_eq!(service.scope_stats(0).solo_requests, 1);
         assert_eq!(service.scope_stats(0).queued, 1);
         assert_eq!(service.scope_stats(1).queued, 1);
-        // Draining the queue consumes both DecodeFinish events.
-        assert!(service.pop_fleet_event().is_none());
+        assert_eq!(
+            service.scope_stats(0).queued + service.scope_stats(1).queued,
+            2
+        );
         let summary = service.fleet_summary();
-        assert_eq!(summary.sessions, 2);
         assert_eq!(summary.decode_events, 2);
+        assert_eq!(summary.events, 2);
         assert_eq!(summary.peak_in_flight, 2);
         assert_eq!(summary.makespan, SimDuration::from_secs(20), "last finish");
     }
 
     #[test]
-    fn fleet_window_batches_across_scopes() {
+    fn a_lagging_scope_counts_the_work_booked_before_it() {
+        // Scope 1 steps first and books [2 s, 12 s); scope 0, lagging,
+        // then books at 0 s and queues behind it until 22 s. Both are in
+        // service over [2 s, 12 s), whatever order they were booked in.
+        let service = InferenceService::new(ServingConfig::limited(1).with_shedding(1));
+        let mut a = handle(&service, 1, TenantOwner::Agent(0));
+        service.set_scope_base(1, T0 + SimDuration::from_secs(2));
+        service.set_scope(1);
+        let b = handle(&service, 2, TenantOwner::Agent(0));
+        let work = SimDuration::from_secs(10);
+        service.submit_cohort(b.tenant(), T0, &resp(work));
+        let out = service.submit_cohort(a.tenant(), T0, &resp(work));
+        assert_eq!(out.queue, SimDuration::from_secs(12));
+        assert_eq!(service.fleet_summary().peak_in_flight, 2);
+        // Scope 0's call at 5 s finds both in service: everything sheds.
+        service.set_cursor(0, T0 + SimDuration::from_secs(5));
+        assert_eq!(a.infer(req("planning at 5 s")).unwrap_err(), LlmError::Shed);
+        // At 12 s scope 1's placement is done: planning is admitted.
+        service.set_cursor(0, T0 + SimDuration::from_secs(12));
+        assert!(a.infer(req("planning at 12 s")).is_ok());
+    }
+
+    #[test]
+    fn window_batches_across_scopes() {
         // Members from two scopes join one window: the close counts a
         // cross-episode batch and attributes shares per scope.
         let service = InferenceService::new(ServingConfig::batched());
-        service.enable_fleet(FleetConfig::default(), 2);
         let mut a = handle(&service, 5, TenantOwner::Agent(0));
-        service.set_fleet_scope(1);
-        let mut b = handle(&service, 6, TenantOwner::Agent(0));
-        service.set_scope_base(0, T0);
         service.set_scope_base(1, T0);
-        service.set_fleet_scope(0);
+        service.set_scope(1);
+        let mut b = handle(&service, 6, TenantOwner::Agent(0));
         service.open_window(InferenceOpts::default(), "shared preamble");
-        // A second open from another scope joins instead of panicking.
-        service.set_fleet_scope(1);
+        // A second open joins instead of starting another window.
         service.open_window(InferenceOpts::default(), "shared preamble");
         assert!(service.window_is_open());
-        service.set_fleet_scope(0);
-        let ra = a.infer(req("scope zero plans")).unwrap();
-        service.window_add(a.tenant(), &ra);
-        service.set_fleet_scope(1);
         let rb = b.infer(req("scope one plans")).unwrap();
         service.window_add(b.tenant(), &rb);
+        let ra = a.infer(req("scope zero plans")).unwrap();
+        service.window_add(a.tenant(), &ra);
         assert_eq!(service.window_len(), 2);
-        let shares = service.close_fleet_window(T0 + SimDuration::from_secs(1));
+        let shares = service.close_window(T0 + SimDuration::from_secs(1));
         assert_eq!(shares.len(), 2);
-        assert_eq!(shares[0].0, 0, "submission order preserved");
-        assert_eq!(shares[1].0, 1);
+        assert_eq!(shares[0].0, 1, "submission order preserved");
+        assert_eq!(shares[1].0, 0);
         assert!(!service.window_is_open());
         let summary = service.fleet_summary();
         assert_eq!(summary.cross_episode_batches, 1);
-        // batches ledger on the lead scope; each member bills its own.
+        // The batch is led by scope 0 (lowest scope); each member bills
+        // its own request and only the joiner reuses the prefix.
         assert_eq!(service.scope_stats(0).batches, 1);
         assert_eq!(service.scope_stats(1).batches, 0);
         assert_eq!(service.scope_stats(0).batched_requests, 1);
         assert_eq!(service.scope_stats(1).batched_requests, 1);
-        assert_eq!(
-            service.scope_stats(1).prefix_hits,
-            1,
-            "joiner reuses prefix"
-        );
+        assert_eq!(service.scope_stats(1).prefix_hits, 1);
         // Scoped usage separates the two agents sharing owner id 0.
         assert_eq!(service.total_usage_for_scope(0).calls, 1);
         assert_eq!(service.total_usage_for_scope(1).calls, 1);
-        service.set_fleet_scope(0);
         assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 1);
-    }
-
-    #[test]
-    fn fleet_events_replay_through_the_service() {
-        let service = InferenceService::new(ServingConfig::limited(1));
-        service.enable_fleet(FleetConfig::default(), 1);
-        let t = |s| T0 + SimDuration::from_secs(s);
-        service.push_fleet_event(t(5), SimEvent::AgentStepReady { episode: 0 });
-        service.push_fleet_event(t(5), SimEvent::RequestArrival { episode: 0 });
-        service.push_fleet_event(t(1), SimEvent::BatchWindowClose);
-        let order: Vec<SimEvent> =
-            std::iter::from_fn(|| service.pop_fleet_event().map(|e| e.event)).collect();
+        service.set_scope(0);
+        assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 1);
         assert_eq!(
-            order,
-            vec![
-                SimEvent::BatchWindowClose,
-                SimEvent::AgentStepReady { episode: 0 },
-                SimEvent::RequestArrival { episode: 0 },
-            ],
-            "time order, then push order on ties"
+            service.total_usage_for_scope(0).calls + service.total_usage_for_scope(1).calls,
+            2
         );
     }
 
@@ -1669,7 +1364,7 @@ mod tests {
                     None,
                 ));
             }
-            (log, format!("{:?}", service.stats()))
+            (log, format!("{:?}", service.scope_stats(0)))
         };
         let implicit = InferenceService::new(ServingConfig::limited(1));
         let explicit = InferenceService::with_seed(
@@ -1679,7 +1374,7 @@ mod tests {
             0xdead_beef,
         );
         assert_eq!(drive(&implicit), drive(&explicit));
-        assert!(implicit.fault_stats().is_quiet());
-        assert!(explicit.fault_stats().is_quiet());
+        assert!(implicit.scope_fault_stats(0).is_quiet());
+        assert!(explicit.scope_fault_stats(0).is_quiet());
     }
 }

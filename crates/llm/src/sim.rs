@@ -1,5 +1,7 @@
-//! The discrete-event core of fleet mode: typed simulation events, the
-//! (virtual-time, sequence-id)-ordered event queue, and the fleet knobs.
+//! The discrete-event core of the fleet runner: typed orchestration
+//! events, the (virtual-time, sequence-id)-ordered event queue, and the
+//! fleet knobs. Serving completions and replica restarts are not events:
+//! the serving backends book them on their own absolute timeline.
 //!
 //! Determinism contract: every event carries the monotone sequence id the
 //! queue assigned at push time, and the queue pops in strict
@@ -28,19 +30,6 @@ pub enum SimEvent {
     },
     /// The open cross-episode batch window reaches its horizon and settles.
     BatchWindowClose,
-    /// A placement scheduled on a backend finishes decoding (the serving
-    /// substrate's in-flight gauge decrements here, not at submit time).
-    DecodeFinish {
-        /// Backend (model-profile) index within the service.
-        backend: usize,
-    },
-    /// A crashed replica finishes its cold restart and rejoins its fleet.
-    ReplicaRestart {
-        /// Backend (model-profile) index within the service.
-        backend: usize,
-        /// Replica index within the backend.
-        replica: usize,
-    },
 }
 
 /// A [`SimEvent`] bound to its virtual instant and queue sequence id.
@@ -204,26 +193,27 @@ embodied_profiler::record! {
     pub struct FleetSummary {
         /// Episode sessions admitted to the shared stack.
         pub sessions: u64,
-        /// Total events processed by the event loop.
+        /// Total events: the runner's orchestration events plus every
+        /// placement and replica restart on the shared backends.
         pub events: u64,
-        /// Peak concurrently decoding placements across all backends.
+        /// Peak placements in service at once across all backends.
         pub peak_in_flight: u32,
-        /// `DecodeFinish` events consumed (completed placements).
+        /// Placements booked on the shared backends (each one decode).
         pub decode_events: u64,
-        /// `ReplicaRestart` events consumed (crashed replicas rejoining).
+        /// Crashed replicas that cold-restarted.
         pub restarts: u64,
         /// Batches whose members spanned two or more episodes — the effect a
         /// per-episode loop cannot express.
         pub cross_episode_batches: u64,
-        /// Final virtual-clock reading: wall-clock of the whole fleet.
+        /// Wall-clock of the whole fleet: the latest event, arrival,
+        /// completion or restart instant.
         pub makespan: SimDuration,
     }
 }
 
 impl FleetSummary {
-    /// Validated constructor: the substrate events (`DecodeFinish`,
-    /// `ReplicaRestart`) are a subset of all events processed, so their
-    /// counts cannot exceed `events`.
+    /// Validated constructor: decodes and restarts are a subset of all
+    /// events, so their counts cannot exceed `events`.
     pub fn validated(self) -> Result<Self, String> {
         if self.decode_events + self.restarts > self.events {
             return Err(format!(
@@ -262,30 +252,18 @@ mod tests {
         // Three events at the same instant replay in push order, even
         // though the heap is not stable by itself.
         let mut q = EventQueue::new();
-        let s0 = q.push(at(5), SimEvent::DecodeFinish { backend: 0 });
+        let s0 = q.push(at(5), SimEvent::BatchWindowClose);
         let s1 = q.push(at(5), SimEvent::RequestArrival { episode: 1 });
-        let s2 = q.push(
-            at(5),
-            SimEvent::ReplicaRestart {
-                backend: 0,
-                replica: 2,
-            },
-        );
+        let s2 = q.push(at(5), SimEvent::AgentStepReady { episode: 2 });
         assert!(s0 < s1 && s1 < s2, "sequence ids are monotone");
         let popped: Vec<ScheduledEvent> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             popped.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![s0, s1, s2]
         );
-        assert_eq!(popped[0].event, SimEvent::DecodeFinish { backend: 0 });
+        assert_eq!(popped[0].event, SimEvent::BatchWindowClose);
         assert_eq!(popped[1].event, SimEvent::RequestArrival { episode: 1 });
-        assert_eq!(
-            popped[2].event,
-            SimEvent::ReplicaRestart {
-                backend: 0,
-                replica: 2
-            }
-        );
+        assert_eq!(popped[2].event, SimEvent::AgentStepReady { episode: 2 });
     }
 
     #[test]
@@ -307,8 +285,8 @@ mod tests {
                 );
                 q.push(
                     t,
-                    SimEvent::DecodeFinish {
-                        backend: (round % 3) as usize,
+                    SimEvent::RequestArrival {
+                        episode: (round % 3) as usize,
                     },
                 );
                 if round % 2 == 0 {

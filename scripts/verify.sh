@@ -38,36 +38,24 @@ EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism --t
 echo "== resilience integration tests =="
 cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
 
-echo "== resilience_scalability --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin resilience_scalability
+smoke_bins=(
+  resilience_scalability
+  guardrail_sweep
+  serving_sweep
+  slo_sweep
+  embodied_fault_sweep
+  contention_sweep
+  scenario_evolve
+)
+echo "== sweep bins --smoke (scratch dir; canonical results untouched) =="
+cargo build --release -q -p embodied-bench "${smoke_bins[@]/#/--bin=}"
 repo_root="$(pwd)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-(cd "$smoke_dir" && "$repo_root/target/release/resilience_scalability" --smoke > /dev/null)
-
-echo "== guardrail_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin guardrail_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/guardrail_sweep" --smoke > /dev/null)
-
-echo "== serving_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin serving_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/serving_sweep" --smoke > /dev/null)
-
-echo "== slo_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin slo_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/slo_sweep" --smoke > /dev/null)
-
-echo "== embodied_fault_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin embodied_fault_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/embodied_fault_sweep" --smoke > /dev/null)
-
-echo "== contention_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin contention_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/contention_sweep" --smoke > /dev/null)
-
-echo "== scenario_evolve --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin scenario_evolve
-(cd "$smoke_dir" && "$repo_root/target/release/scenario_evolve" --smoke > /dev/null)
+for bin in "${smoke_bins[@]}"; do
+  echo "== $bin --smoke =="
+  (cd "$smoke_dir" && "$repo_root/target/release/$bin" --smoke > /dev/null)
+done
 
 echo "== scenario regression fixtures + evolution properties =="
 cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution
