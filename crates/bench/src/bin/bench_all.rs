@@ -26,7 +26,7 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// Every experiment target in the suite, in roadmap order.
-const EXPERIMENTS: [&str; 17] = [
+const EXPERIMENTS: [&str; 16] = [
     "table1_paradigms",
     "table2_suite",
     "fig1_paradigms",
@@ -43,7 +43,6 @@ const EXPERIMENTS: [&str; 17] = [
     "design_ablations",
     "endtoend_analysis",
     "serving_sweep",
-    "slo_sweep",
 ];
 
 struct Timing {

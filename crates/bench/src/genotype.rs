@@ -113,7 +113,7 @@ impl fmt::Display for RetryPreset {
 embodied_profiler::record! {
     tags;
     /// Serving-stack preset gene — how the shared inference service is wired
-    /// (replication, SLO deadline, hedging, shedding). Faults ride separately
+    /// (replication, SLO deadline, hedging). Faults ride separately
     /// in [`ScenarioGenotype::serving_faults`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum ServingPreset {
@@ -123,12 +123,14 @@ embodied_profiler::record! {
         /// Three replicas behind a 2-slot concurrency limit — failover has a
         /// healthy peer to target but no SLO tier is active.
         Replicated = "replicated",
-        /// Two replicas, 2 slots, 30 s deadline and no hedging/shedding — the
+        /// Two replicas, 2 slots, 30 s deadline and no hedging — the
         /// tier where brownouts and cold restarts blow the SLO directly.
         TightSlo = "tight-slo",
-        /// Three replicas, 2 slots, 30 s deadline, 2 s hedging, shedding past 3
-        /// placements — the full mitigation stack (which an adversary can still
-        /// turn into wasted hedges and shed work).
+        /// Three replicas, 2 slots, 30 s deadline and 2 s hedging — the
+        /// mitigation stack a lone episode can use (which an adversary can still
+        /// turn into wasted hedges). No shedding: a genotype runs standalone
+        /// episodes, whose calls never overlap on the backend, so admission
+        /// control could never fire.
         Guarded = "guarded",
     }
 }
@@ -154,8 +156,7 @@ impl ServingPreset {
             ServingPreset::Guarded => ServingConfig::limited(2)
                 .with_replicas(3)
                 .with_deadline(SimDuration::from_secs(30))
-                .with_hedging(SimDuration::from_secs(2))
-                .with_shedding(3),
+                .with_hedging(SimDuration::from_secs(2)),
         }
     }
 }

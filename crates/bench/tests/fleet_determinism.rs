@@ -75,13 +75,15 @@ fn fleet_grid_bit_identical_at_one_and_four_workers() {
 }
 
 /// The serving configurations the one-episode differential covers: the
-/// pass-through, scarce slots, replicas with hedging, and the determinism
-/// table's stressed SLO tier (faults, deadline, hedging, shedding).
+/// pass-through, scarce slots, shedding with no headroom, replicas with
+/// hedging, and the determinism table's stressed SLO tier (faults,
+/// deadline, hedging, shedding).
 fn differential_configs() -> Vec<(ServingConfig, Option<ServingFaultProfile>)> {
     vec![
         (ServingConfig::disabled(), None),
         (ServingConfig::limited(1), None),
         (ServingConfig::limited(2), None),
+        (ServingConfig::limited(1).with_shedding(1), None),
         (
             ServingConfig::limited(1)
                 .with_replicas(2)
@@ -123,6 +125,11 @@ fn fleet_off_is_a_strict_pass_through_of_the_per_episode_runner() {
     // episode, in every serving mode. Batching presets are exempt: a fleet keeps each serving window open
     // for `batch_window` so other episodes' co-arrivals can join it, while
     // a standalone episode closes its window at its own fan-out.
+    //
+    // A standalone episode also never contends with itself: its calls are
+    // issued one after another, so nothing is ever shed, and without
+    // faults or hedges no call waits for a slot. Admission control and
+    // slot queueing need a shared service (a fleet of two or more).
     let configs = differential_configs();
     let specs = workloads::registry();
     let cells: Vec<(usize, usize)> = (0..specs.len())
@@ -140,13 +147,23 @@ fn fleet_off_is_a_strict_pass_through_of_the_per_episode_runner() {
         let spec = &specs[s];
         let solo = run_episode(spec, &overrides, BASE_SEED);
         let fleet = run_fleet(spec, &overrides, 1, BASE_SEED, FleetConfig::default());
-        (format!("{:?}", fleet.reports[0]) != format!("{solo:?}"))
-            .then(|| format!("{} under {serving:?} + {faults:?}", spec.name))
+        let contended = solo.serving_faults.shed > 0
+            || (faults.is_none()
+                && serving.hedge_after.is_none()
+                && !solo.serving.queue_delay.is_zero());
+        let diverged = format!("{:?}", fleet.reports[0]) != format!("{solo:?}");
+        (contended || diverged).then(|| {
+            format!(
+                "{} under {serving:?} + {faults:?}: shed {}, queue {}, fleet diverged: {diverged}",
+                spec.name, solo.serving_faults.shed, solo.serving.queue_delay
+            )
+        })
     });
     let mismatches: Vec<String> = mismatches.into_iter().flatten().collect();
     assert!(
         mismatches.is_empty(),
-        "one-episode fleet diverged from run_episode in {} cells: {mismatches:#?}",
+        "standalone episode contended with itself or one-episode fleet diverged \
+         from run_episode in {} cells: {mismatches:#?}",
         mismatches.len()
     );
 }

@@ -86,7 +86,7 @@ impl ServingFaultProfile {
         }
     }
 
-    /// The combined stress regime of the `slo_sweep` experiment: crashes at
+    /// The combined stress regime of `serving_sweep`'s SLO section: crashes at
     /// `rate`/4, brownouts at `rate` (3×), and overflow spill past a 10 s
     /// backlog.
     pub fn stressed(rate: f64) -> Self {

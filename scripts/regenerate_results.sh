@@ -30,24 +30,17 @@ EMBODIED_EPISODES="${EMBODIED_RESILIENCE_EPISODES:-6}" ./target/release/resilien
 echo "== guardrail_sweep =="
 EMBODIED_EPISODES="${EMBODIED_GUARDRAIL_EPISODES:-6}" ./target/release/guardrail_sweep > /dev/null
 
-# Serving sweep: 2 systems × 3 team sizes × 4 serving configurations.
+# Serving sweep: batching × team size (standalone), contention × fleet size,
+# and SLO policy × serving faults at fleet size 1 and at one fleet of all the
+# episodes. Fleet cells run whole on one worker, so EMBODIED_JOBS schedules
+# standalone episodes and whole fleets.
 echo "== serving_sweep =="
 EMBODIED_EPISODES="${EMBODIED_SERVING_EPISODES:-6}" ./target/release/serving_sweep > /dev/null
-
-# SLO sweep: 2 systems × 4 fault scenarios × 5 resilience policies.
-echo "== slo_sweep =="
-EMBODIED_EPISODES="${EMBODIED_SLO_EPISODES:-6}" ./target/release/slo_sweep > /dev/null
 
 # Embodied fault sweep: 3 systems × 2 recovery policies × 9 perception ×
 # actuation fault cells on the fifth (environment-interface) plane.
 echo "== embodied_fault_sweep =="
 EMBODIED_EPISODES="${EMBODIED_ENV_EPISODES:-8}" ./target/release/embodied_fault_sweep > /dev/null
-
-# Contention sweep: virtual-time fleet — episodes-in-flight × concurrency ×
-# batching on one shared serving stack. Each grid cell is a whole fleet run,
-# so cells (not episodes) fan out across EMBODIED_JOBS.
-echo "== contention_sweep =="
-./target/release/contention_sweep > /dev/null
 
 # Adversarial scenario evolution: 4 paradigms × 7 evaluation rounds of a
 # 12-genotype population. Sized by its own flags, not EMBODIED_EPISODES.

@@ -42,9 +42,7 @@ smoke_bins=(
   resilience_scalability
   guardrail_sweep
   serving_sweep
-  slo_sweep
   embodied_fault_sweep
-  contention_sweep
   scenario_evolve
 )
 echo "== sweep bins --smoke (scratch dir; canonical results untouched) =="
